@@ -6,7 +6,7 @@ Scalar records land in tests/data/golden_values.txt, one per line:
 
 Each value is produced by a route independent of the closed form the test
 suite later checks against it: raw Gaussian arithmetic, moment ODEs,
-adaptive density-matrix quadrature, a momentum-grid discrete Fourier sum,
+Gauss-Legendre density-matrix quadrature, a momentum-grid discrete Fourier sum,
 Richardson finite differences, or a high-precision rearranged evaluation.
 The figure CSVs for the byte-regression gate go to tests/data/golden_figs/.
 

@@ -49,7 +49,6 @@ from .caldeira_leggett import (
     cl_modular_envelope_phase,
     cl_modular_quadrature,
     cl_packet_state,
-    cl_translation_quadrature,
     density_matrix_rR,
     l1_coherence,
     local_translation,

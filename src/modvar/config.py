@@ -58,8 +58,10 @@ class RunConfig:
             raise ConfigError("temperatures must be positive")
         if not self.temperatures or not self.alphas:
             raise ConfigError("temperature and alpha lists must be nonempty")
-        if self.support_factor <= 0.0:
+        if not self.support_factor > 0.0:  # also rejects NaN
             raise ConfigError("support factor must be positive")
+        if not all(math.isfinite(x) for x in self.x0_offsets):
+            raise ConfigError("x0 offsets must be finite")
         try:
             self.constants()
             self.superposition(self.alphas[0])

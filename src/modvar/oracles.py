@@ -1,8 +1,8 @@
 """Independent numerical validation of every closed form in the package:
-characteristic-function quadrature, translated momentum moments, the
-expectation-value evolution check, PDE residuals, ODE trajectory
-integration, the moment-ODE non-overlap window, and a spectral grid
-propagator.
+composite Gauss-Legendre quadrature of the characteristic function,
+translated momentum moments, the expectation-value evolution check, PDE
+residuals, ODE trajectory integration, the moment-ODE non-overlap window,
+and a spectral grid propagator.
 
 These routines never reuse the closed-form answers they test; they
 integrate, differentiate, or propagate from more primitive definitions.
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
 
 from .params import (
     BathParams,
@@ -39,7 +38,7 @@ from .caldeira_leggett import (
     _center_width,
     _eval_parts,
     _eval_parts_dr,
-    _quad_complex,
+    _gl_line_integral,
     _term_parts,
 )
 
@@ -80,6 +79,17 @@ class SchrodingerSource:
         width = max(packet_state(p, self.c, t).sigma_t for p in packets)
         return centers, width
 
+    def line(self, r, t, d_dr=False):
+        """Integrand x -> Psi*(x) Psi(x + r) of chi(r, t) (its r-derivative
+        when d_dr), with the peaks and width that place the quadrature."""
+        centers, width = self.centers_width(t)
+        shifted = self.amplitude_dx if d_dr else self.amplitude
+
+        def f(x):
+            return np.conj(self.amplitude(x, t)) * shifted(x + r, t)
+
+        return f, centers + [xc - r for xc in centers], width
+
 
 @dataclass(frozen=True)
 class CLSource:
@@ -109,9 +119,13 @@ class CLSource:
         beta = 1j * float(x_t)
         return (float(w), quad, slope, [(0.0, lin, beta)], [1.0])
 
-    def centers_width(self, t):
+    def line(self, r, t, d_dr=False):
+        """Integrand R -> rho(r, R, t) of chi(r, t) (its r-derivative when
+        d_dr), with the term peaks and width that place the quadrature."""
         parts = self.parts(t)
-        return [beta.imag for (_, _, beta) in parts[3]], parts[0]
+        evaluate = _eval_parts_dr if d_dr else _eval_parts
+        peaks = [beta.imag for (_, _, beta) in parts[3]]
+        return (lambda R: evaluate(parts, r, R)), peaks, parts[0]
 
 
 Source = Union[SchrodingerSource, CLSource]
@@ -126,49 +140,16 @@ class CharacteristicFunction:
         self.source = source
 
     def __call__(self, r: float, t: float):
-        if isinstance(self.source, SchrodingerSource):
-            centers, width = self.source.centers_width(t)
-            hints = sorted(set(centers) | {c - r for c in centers})
-            lo, hi = hints[0] - 15.0 * width, hints[-1] + 15.0 * width
-
-            def f(x):
-                return np.conj(self.source.amplitude(x, t)) * self.source.amplitude(x + r, t)
-
-            return _quad_complex(f, lo, hi, points=[h for h in hints if lo < h < hi])
-        parts = self.source.parts(t)
-        peaks, width = self.source.centers_width(t)
-        hints = sorted(peaks)
-        lo, hi = hints[0] - 15.0 * width, hints[-1] + 15.0 * width
-
-        def f(R):
-            return _eval_parts(parts, r, np.asarray(R))
-
-        return _quad_complex(f, lo, hi, points=[h for h in hints if lo < h < hi])
+        """(chi(r, t), error estimate) by the composite Gauss-Legendre kernel."""
+        return _gl_line_integral(*self.source.line(r, t))
 
     def d_dr(self, r: float, t: float):
         """chi'(r, t) by quadrature of the r-derivative of the integrand."""
-        if isinstance(self.source, SchrodingerSource):
-            centers, width = self.source.centers_width(t)
-            hints = sorted(set(centers) | {c - r for c in centers})
-            lo, hi = hints[0] - 15.0 * width, hints[-1] + 15.0 * width
-
-            def f(x):
-                return np.conj(self.source.amplitude(x, t)) * self.source.amplitude_dx(x + r, t)
-
-            return _quad_complex(f, lo, hi, points=[h for h in hints if lo < h < hi])
-        parts = self.source.parts(t)
-        peaks, width = self.source.centers_width(t)
-        hints = sorted(peaks)
-        lo, hi = hints[0] - 15.0 * width, hints[-1] + 15.0 * width
-
-        def f(R):
-            return _eval_parts_dr(parts, r, np.asarray(R))
-
-        return _quad_complex(f, lo, hi, points=[h for h in hints if lo < h < hi])
+        return _gl_line_integral(*self.source.line(r, t, d_dr=True))
 
 
 def characteristic_modular(source: Source, t: float, ell: float) -> complex:
-    """<e^{i p ell / hbar}> by adaptive quadrature."""
+    """<e^{i p ell / hbar}> by quadrature of the characteristic function."""
     val, err = CharacteristicFunction(source)(ell, t)
     if err > 1e-8:
         raise QuadratureError("characteristic quadrature error %.3g" % err)
@@ -227,28 +208,24 @@ def momentum_first_moment_translated(
 def _time_derivative_sweep(f: Callable[[float], complex], t: float, h0: float = 1e-3):
     """Central-difference df/dt with automatic step refinement.
 
-    Halves the step until successive estimates stop improving, then returns
-    (best estimate, step used, convergence ratio of the last clean pair).
+    Halves the step while each difference of successive estimates is at
+    most half the one before.  The first estimate that breaks this sits on
+    the round-off floor and is discarded: returns (last converged estimate,
+    its step, convergence ratio of the last clean pair of differences).
     """
-    estimates = []
-    h = h0
-    for _ in range(10):
-        estimates.append(((f(t + h) - f(t - h)) / (2.0 * h), h))
+    h = best_h = h0
+    best = (f(t + h) - f(t - h)) / (2.0 * h)
+    diffs = []
+    for _ in range(9):
         h *= 0.5
-        if len(estimates) >= 3:
-            d1 = abs(estimates[-2][0] - estimates[-3][0])
-            d2 = abs(estimates[-1][0] - estimates[-2][0])
-            if d2 == 0.0 or d1 == 0.0:
-                break
-            if d2 > 0.5 * d1:
-                # roundoff floor reached; earlier pair still shows the order
-                break
-    if len(estimates) < 3:
-        return estimates[-1][0], estimates[-1][1], float("nan")
-    d1 = abs(estimates[-2][0] - estimates[-3][0])
-    d2 = abs(estimates[-1][0] - estimates[-2][0])
-    ratio = d1 / d2 if d2 > 0 else float("inf")
-    return estimates[-1][0], estimates[-1][1], ratio
+        est = (f(t + h) - f(t - h)) / (2.0 * h)
+        d = abs(est - best)
+        if d == 0.0 or (diffs and d > 0.5 * diffs[-1]):
+            break
+        best, best_h = est, h
+        diffs.append(d)
+    ratio = diffs[-2] / diffs[-1] if len(diffs) >= 2 else float("nan")
+    return best, best_h, ratio
 
 
 def heisenberg_rhs_check(
@@ -389,6 +366,8 @@ def trajectory_ode_oracle(
     velocity_field: Callable[[float, float], float], X0: float, grid: TimeGrid
 ) -> BohmianTrajectory:
     """Integrate dX/dt = v(X, t) with tight adaptive error control."""
+    from scipy import integrate
+
     ts = grid.times()
     sol = integrate.solve_ivp(
         lambda t, y: [velocity_field(y[0], t)],
@@ -426,6 +405,8 @@ def moment_ode_window(
     b = None is the unitary limit (gamma = D = 0); rate_multiplier scales
     gamma with D held fixed, which gives the two-particle window at 2.
     """
+    from scipy import integrate
+
     m, hbar, g = c.m, c.hbar, c.g
     gamma = 0.0 if b is None else b.gamma * rate_multiplier
     D = 0.0 if b is None else b.D

@@ -16,6 +16,13 @@ class ParameterError(ValueError):
     """Raised when a physical parameter violates its constraints."""
 
 
+def _require_finite(**values):
+    """Raise ParameterError naming the first NaN or infinite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Mass, hbar, Boltzmann constant and the signed uniform acceleration g.
@@ -31,6 +38,7 @@ class PhysicalConstants:
     g: float = -3.0
 
     def __post_init__(self):
+        _require_finite(m=self.m, hbar=self.hbar, kB=self.kB, g=self.g)
         if self.m <= 0 or self.hbar <= 0 or self.kB <= 0:
             raise ParameterError("m, hbar and kB must all be positive")
 
@@ -51,6 +59,7 @@ class BathParams:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
+        _require_finite(gamma=self.gamma, T=self.T)
         if self.gamma < 0:
             raise ParameterError("relaxation rate gamma must be >= 0")
         if self.T < 0:
@@ -69,6 +78,7 @@ class GaussianPacket:
     sigma0: float
 
     def __post_init__(self):
+        _require_finite(x0=self.x0, p0=self.p0, sigma0=self.sigma0)
         if self.sigma0 <= 0:
             raise ParameterError("packet width sigma0 must be positive")
 
@@ -85,6 +95,7 @@ class SuperpositionSpec:
     alpha: float
 
     def __post_init__(self):
+        _require_finite(L=self.L, k=self.k, alpha=self.alpha)
         if self.L <= 0:
             raise ParameterError("separation L must be positive")
         # construction goes through make_superposition, but guard invariants
@@ -138,6 +149,7 @@ def make_superposition(
 ) -> SuperpositionSpec:
     """Build the standard two-packet spec: centers at -L/2 and +L/2, the right
     packet kicked with momentum hbar*k."""
+    _require_finite(L=L, sigma0=sigma0, k=k, alpha=alpha)
     if L <= 0 or sigma0 <= 0:
         raise ParameterError("L and sigma0 must be positive")
     pA = GaussianPacket(x0=-L / 2, p0=0.0, sigma0=sigma0)

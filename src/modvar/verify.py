@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .caldeira_leggett import (
     cl_bohmian_trajectory,
@@ -236,6 +235,8 @@ def gate_trajectories(fast=True):
 
 
 def _integrate_supports(f, centers, width, reach=10.0):
+    from scipy import integrate
+
     total = 0.0
     for xc in centers:
         val, _ = integrate.quad(
@@ -461,10 +462,13 @@ def gate_grid_propagator(fast=False):
 
 
 def _golden_dir():
+    """MODVAR_GOLDEN_DIR, else the checkout's tests/data/golden_figs (found
+    from this file's location, not the working directory)."""
     env = os.environ.get("MODVAR_GOLDEN_DIR")
     if env:
         return env
-    return os.path.join("tests", "data", "golden_figs")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return os.path.join(root, "tests", "data", "golden_figs")
 
 
 def gate_figure_regression(fast=False):

@@ -52,6 +52,44 @@ def test_bad_flag_value():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("window", "--framework", "cl", "--gamma", "nan", "--temperature", "2"),
+        ("window", "--framework", "cl", "--gamma", "0.001", "--temperature", "inf"),
+        ("window", "--framework", "cl", "--gamma", "0.001", "--temperature", "2", "--kick", "nan"),
+        ("window", "--framework", "schrodinger", "--support-factor", "nan"),
+        ("figure", "fig3", "--gamma", "nan"),
+        ("figure", "fig1", "--x0-offset", "nan"),
+    ],
+)
+def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):
+    # a NaN or infinite parameter must not yield t_max = 0 or NaN columns
+    res = run_cli(*argv, "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr
+    assert res.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_width_is_named():
+    res = run_cli("window", "--framework", "schrodinger", "--sigma0", "nan")
+    assert res.returncode == 2
+    # named as a non-finite width, not as a width mismatch between packets
+    assert "sigma0 must be finite" in res.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only inside the few functions that need it
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, modvar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_unknown_figure_name():
     res = run_cli("figure", "fig9")
     # argparse rejects the choice before main() runs

@@ -27,6 +27,7 @@ from modvar.oracles import (
     momentum_first_moment_translated,
     pde_residual,
     trajectory_ode_oracle,
+    _time_derivative_sweep,
 )
 from modvar.params import (
     BathParams,
@@ -137,6 +138,29 @@ def test_expectation_evolution_residual():
 def test_expectation_evolution_unitary_limit():
     rep = heisenberg_rhs_check(base_spec(math.pi / 4), make_bath(0.0, 2.0), base_constants(), 1.0)
     assert rep.relative_residual < 1e-7
+
+
+def test_derivative_sweep_returns_last_converged_estimate():
+    # f'(t) = 0.75 with central-difference error h^2; below h = 1e-5 a
+    # 1e-9 step in f makes the difference of successive estimates jump
+    t = 0.5
+
+    def f(s):
+        return s**3 + (1e-9 if 0.0 < s - t < 1e-5 else 0.0)
+
+    est, step, ratio = _time_derivative_sweep(f, t)
+    assert step == pytest.approx(1e-3 / 2**6)
+    assert abs(est - 0.75) <= 2.0 * step**2
+    assert ratio == pytest.approx(4.0, rel=0.01)
+
+
+def test_expectation_evolution_residual_at_recorded_point():
+    # a seeded point where the sweep used to return the round-off estimate
+    # and the relative residual read 6.4e-4
+    spec = base_spec(4.111152314096068)
+    b = make_bath(0.0013150100478055804, 7.145275543430335)
+    rep = heisenberg_rhs_check(spec, b, base_constants(), 0.3890678829431714)
+    assert rep.relative_residual < 1e-5
 
 
 def test_wave_equation_residual():

@@ -31,6 +31,28 @@ def test_constants_reject_nonpositive():
     PhysicalConstants(g=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_objects_reject_non_finite(bad):
+    good = GaussianPacket(-25.0, 0.0, 1.0)
+    builders = [
+        lambda: PhysicalConstants(g=bad),
+        lambda: BathParams(gamma=bad, T=2.0),
+        lambda: BathParams(gamma=0.001, T=bad),
+        lambda: GaussianPacket(bad, 0.0, 1.0),
+        lambda: GaussianPacket(0.0, bad, 1.0),
+        lambda: GaussianPacket(0.0, 0.0, bad),
+        lambda: SuperpositionSpec(good, GaussianPacket(25.0, 0.1, 1.0), 50.0, bad, 0.0),
+        lambda: SuperpositionSpec(good, GaussianPacket(25.0, 0.1, 1.0), 50.0, 0.1, bad),
+        lambda: make_superposition(L=bad, sigma0=1.0, k=0.1, alpha=0.0),
+        lambda: make_superposition(L=50.0, sigma0=bad, k=0.1, alpha=0.0),
+        lambda: make_superposition(L=50.0, sigma0=1.0, k=bad, alpha=0.0),
+        lambda: make_superposition(L=50.0, sigma0=1.0, k=0.1, alpha=bad),
+    ]
+    for build in builders:
+        with pytest.raises(ParameterError, match="must be finite"):
+            build()
+
+
 def test_bath_diffusion_coefficient():
     c = PhysicalConstants()
     b = BathParams(gamma=0.005, T=15.0, constants=c)
