@@ -24,7 +24,6 @@ from .schrodinger import (
     PacketStateS,
     bohmian_trajectory,
     bohmian_velocity,
-    density_and_current,
     local_modular_on_trajectory,
     local_modular_pointwise,
     modular_expectation,
@@ -40,7 +39,6 @@ from .caldeira_leggett import (
     CLDensityMatrix,
     PacketStateCL,
     QuadratureError,
-    TermCoefficients,
     cl_bohmian_trajectory,
     cl_current,
     cl_density,
@@ -52,7 +50,6 @@ from .caldeira_leggett import (
     density_matrix_rR,
     l1_coherence,
     local_translation,
-    term_coefficients,
     trace_check,
 )
 from .two_particle import (
@@ -91,5 +88,3 @@ from .figures import generate_figure
 from .verify import GateResult, run_suite
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -67,15 +67,6 @@ class PacketStateCL:
     tau: float
 
 
-@dataclass(frozen=True)
-class TermCoefficients:
-    """Coefficients a_j(r,t), b_j(r,t) of the j-th Gaussian term, j in 1..4."""
-
-    a: complex
-    b: complex
-    j: int
-
-
 def _center_width(p: GaussianPacket, gamma: float, D: float, c: PhysicalConstants, ts):
     """Vectorized center and width of one packet for a given rate/diffusion.
 
@@ -234,34 +225,6 @@ class CLDensityMatrix:
 
     def d_dr(self, r, R, t):
         return _eval_parts_dr(self._parts(t), r, R)
-
-    def diagonal_peaks(self, t):
-        """R positions of the four term peaks (Im of the b_j offsets)."""
-        w, quad, slope, terms, _ = self._parts(t)
-        return [beta.imag for (_, _, beta) in terms], w
-
-
-def term_coefficients(
-    j: int,
-    spec: SuperpositionSpec,
-    b: BathParams,
-    c: PhysicalConstants,
-    r: float,
-    t: float,
-    h_coeff: float | None = None,
-) -> TermCoefficients:
-    """a_j(r,t) and b_j(r,t) for term j in 1..4.
-
-    h_coeff overrides the constant multiplying the kick drift in b_2
-    (defaults to hbar); exposed so oracle sensitivity tests can perturb it.
-    """
-    if j not in (1, 2, 3, 4):
-        raise ParameterError("term index must be 1..4")
-    w, quad, slope, terms, _ = _term_parts(spec, b, c, t, h_coeff)
-    A, lin, beta = terms[j - 1]
-    a = A + lin * r + quad * r * r
-    bb = beta + slope * r
-    return TermCoefficients(a=complex(a), b=complex(bb), j=j)
 
 
 def density_matrix_rR(

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .caldeira_leggett import QuadratureError
-from .config import ConfigError, load_config_file, resolve_config
+from .config import ConfigError, RunConfig, file_key, load_config_file, resolve_config
 from .figures import generate_figure
 from .params import ParameterError
 from .schrodinger import DomainError
@@ -59,29 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_updates(args) -> dict:
+    """Set flags as RunConfig updates; each flag's dest is its config-file key."""
     flags = {}
-    if args.framework is not None:
-        flags["framework"] = args.framework
-    for attr, field_name in (
-        ("gamma", "gamma"),
-        ("separation", "separation"),
-        ("sigma0", "sigma0"),
-        ("kick", "kick"),
-        ("gravity", "gravity"),
-        ("tmax", "tmax"),
-        ("samples", "samples"),
-        ("out", "out"),
-        ("support_factor", "support_factor"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            flags[field_name] = value
-    if args.temperature is not None:
-        flags["temperatures"] = (args.temperature,)
-    if args.alpha is not None:
-        flags["alphas"] = (args.alpha,)
-    if args.x0_offset:
-        flags["x0_offsets"] = tuple(args.x0_offset)
+    for f in fields(RunConfig):
+        value = getattr(args, file_key(f), None)
+        if value is None:
+            continue
+        if isinstance(f.default, tuple):  # one value, or a repeated flag's list
+            value = tuple(value) if isinstance(value, list) else (value,)
+        flags[f.name] = value
     return flags
 
 
@@ -116,7 +103,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    except (DomainError, QuadratureError, FloatingPointError) as exc:
+    except (DomainError, QuadratureError, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 1
 

@@ -4,7 +4,7 @@ overrides, in that precedence order."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .params import (
     BathParams,
@@ -19,6 +19,16 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
 
 
+def _floats(raw: str) -> tuple:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+def _setting(default, parse=float, key=None):
+    """A RunConfig field with its config-file key (the field name unless
+    given) and the parser of its raw value."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete resolved run configuration.
@@ -27,23 +37,23 @@ class RunConfig:
     temperatures and alphas are series lists for multi-panel figures.
     """
 
-    framework: str = "both"
-    m: float = 1.0
-    hbar: float = 1.0
-    kB: float = 1.0
-    gravity: float = -3.0
-    separation: float = 50.0
-    sigma0: float = 1.0
-    kick: float = 0.1
-    gamma: float = 0.001
-    temperatures: tuple = (2.0,)
-    alphas: tuple = (math.pi / 4,)
-    t_start: float = 0.0
-    tmax: float = 2.0
-    samples: int = 201
-    x0_offsets: tuple = (-2.0, 0.0, 2.0)
-    out: str = "."
-    support_factor: float = 5.0
+    framework: str = _setting("both", str)
+    m: float = _setting(1.0)
+    hbar: float = _setting(1.0)
+    kB: float = _setting(1.0)
+    gravity: float = _setting(-3.0)
+    separation: float = _setting(50.0)
+    sigma0: float = _setting(1.0)
+    kick: float = _setting(0.1)
+    gamma: float = _setting(0.001)
+    temperatures: tuple = _setting((2.0,), _floats, "temperature")
+    alphas: tuple = _setting((math.pi / 4,), _floats, "alpha")
+    t_start: float = _setting(0.0)
+    tmax: float = _setting(2.0)
+    samples: int = _setting(201, int)
+    x0_offsets: tuple = _setting((-2.0, 0.0, 2.0), _floats, "x0_offset")
+    out: str = _setting(".", str)
+    support_factor: float = _setting(5.0)
 
     def validate(self) -> "RunConfig":
         if self.framework not in ("both", "schrodinger", "cl"):
@@ -105,25 +115,16 @@ class RunConfig:
                 return repr(v)
             return str(v)
 
-        return {
-            "framework": self.framework,
-            "m": fmt(self.m),
-            "hbar": fmt(self.hbar),
-            "kB": fmt(self.kB),
-            "gravity": fmt(self.gravity),
-            "separation": fmt(self.separation),
-            "sigma0": fmt(self.sigma0),
-            "kick": fmt(self.kick),
-            "gamma": fmt(self.gamma),
-            "temperature": fmt(self.temperatures),
-            "alpha": fmt(self.alphas),
-            "t_start": fmt(self.t_start),
-            "tmax": fmt(self.tmax),
-            "samples": str(self.samples),
-            "x0_offset": fmt(self.x0_offsets),
-            "out": self.out,
-            "support_factor": fmt(self.support_factor),
-        }
+        return {file_key(f): fmt(getattr(self, f.name)) for f in fields(self)}
+
+
+def file_key(f) -> str:
+    """Config-file key of a RunConfig field; command-line flags use it as
+    their argparse destination."""
+    return f.metadata["key"] or f.name
+
+
+_FIELD_BY_KEY = {file_key(f): f for f in fields(RunConfig)}
 
 
 FIGURE_DEFAULTS = {
@@ -151,37 +152,10 @@ FIGURE_DEFAULTS = {
     ),
 }
 
-_KEY_TO_FIELD = {
-    "framework": ("framework", str),
-    "m": ("m", float),
-    "hbar": ("hbar", float),
-    "kB": ("kB", float),
-    "gravity": ("gravity", float),
-    "separation": ("separation", float),
-    "sigma0": ("sigma0", float),
-    "kick": ("kick", float),
-    "gamma": ("gamma", float),
-    "temperature": ("temperatures", "floats"),
-    "alpha": ("alphas", "floats"),
-    "t_start": ("t_start", float),
-    "tmax": ("tmax", float),
-    "samples": ("samples", int),
-    "x0_offset": ("x0_offsets", "floats"),
-    "out": ("out", str),
-    "support_factor": ("support_factor", float),
-}
-
-
 def _convert(key: str, raw: str):
-    name, kind = _KEY_TO_FIELD[key]
+    f = _FIELD_BY_KEY[key]
     try:
-        if kind == "floats":
-            return name, tuple(float(part) for part in raw.split(",") if part.strip())
-        if kind is int:
-            return name, int(raw)
-        if kind is float:
-            return name, float(raw)
-        return name, raw
+        return f.name, f.metadata["parse"](raw)
     except ValueError as exc:
         raise ConfigError("bad value %r for key %r" % (raw, key)) from exc
 
@@ -190,7 +164,7 @@ def _uncomment(line: str) -> str | None:
     """CSV headers echo the config as '# key=value'; accept those as
     assignments, treat every other '#' line as a plain comment."""
     body = line.lstrip()[1:].strip()
-    if "=" in body and body.split("=", 1)[0].strip() in _KEY_TO_FIELD:
+    if "=" in body and body.split("=", 1)[0].strip() in _FIELD_BY_KEY:
         return body
     return None
 
@@ -211,7 +185,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in body:
             raise ConfigError("line %d: expected key=value, got %r" % (lineno, line))
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _KEY_TO_FIELD:
+        if key not in _FIELD_BY_KEY:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
         name, value = _convert(key, raw)
         updates[name] = value

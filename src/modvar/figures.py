@@ -3,12 +3,13 @@ panels.
 
 Schema: first column t (or x for density grids), one column per series,
 '#'-prefixed header echoing the resolved configuration.  Values printed
-with %.15g and '\n' line endings, so re-runs are byte-identical.
+with %.15g and '\n' line endings, so re-runs are byte-identical.  A
+figure whose tables hold a non-finite value raises FloatingPointError
+before any of its files is written.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -34,10 +35,17 @@ _FIG1_XGRID = (-40.0, 40.0, 401)
 _FIG1_TSAMPLES = 41
 
 
+def _check_columns(filename: str, colnames: list, columns: list) -> None:
+    rows = len(columns[0])
+    for name, col in zip(colnames, columns):
+        if len(col) != rows:
+            raise ValueError("column %s has %d rows, not %d" % (name, len(col), rows))
+        if not np.all(np.isfinite(col)):
+            raise FloatingPointError("non-finite value in column %s of %s" % (name, filename))
+
+
 def _write_csv(path: str, cfg: RunConfig, extra_header: list, colnames: list, columns: list) -> str:
     rows = len(columns[0])
-    for col in columns:
-        assert len(col) == rows
     lines = []
     lines.extend(cfg.header_lines())
     lines.extend("# %s" % text for text in extra_header)
@@ -53,14 +61,14 @@ def _frameworks(cfg: RunConfig) -> list:
     return ["schrodinger", "cl"] if cfg.framework == "both" else [cfg.framework]
 
 
-def _fig1(cfg: RunConfig, outdir: str) -> list:
+def _fig1(cfg: RunConfig) -> list:
     c = cfg.constants()
     spec = cfg.superposition(cfg.alphas[0])
     bath = cfg.bath()
     grid = TimeGrid(cfg.t_start, cfg.tmax, cfg.samples)
     xs = np.linspace(*_FIG1_XGRID)
     ts_density = np.linspace(cfg.t_start, cfg.tmax, _FIG1_TSAMPLES)
-    written = []
+    tables = []
     for fw in _frameworks(cfg):
         density_cols = [xs]
         names = ["x"]
@@ -71,10 +79,12 @@ def _fig1(cfg: RunConfig, outdir: str) -> list:
                 rho = cl_density(spec, bath, c, xs, float(t))
             density_cols.append(np.asarray(rho))
             names.append("t=%.15g" % t)
-        path = os.path.join(outdir, "fig1_density_%s.csv" % fw)
-        written.append(
-            _write_csv(path, cfg, ["figure: fig1 density grid, framework=%s" % fw], names, density_cols)
-        )
+        tables.append((
+            "fig1_density_%s.csv" % fw,
+            ["figure: fig1 density grid, framework=%s" % fw],
+            names,
+            density_cols,
+        ))
 
         traj_cols = [grid.times()]
         names = ["t"]
@@ -86,14 +96,16 @@ def _fig1(cfg: RunConfig, outdir: str) -> list:
                 traj = cl_bohmian_trajectory(spec.packetA, bath, c, X0, grid)
             traj_cols.append(traj.X)
             names.append("X0_offset=%.15g" % off)
-        path = os.path.join(outdir, "fig1_trajectories_%s.csv" % fw)
-        written.append(
-            _write_csv(path, cfg, ["figure: fig1 trajectories, framework=%s" % fw], names, traj_cols)
-        )
-    return written
+        tables.append((
+            "fig1_trajectories_%s.csv" % fw,
+            ["figure: fig1 trajectories, framework=%s" % fw],
+            names,
+            traj_cols,
+        ))
+    return tables
 
 
-def _fig2(cfg: RunConfig, outdir: str) -> list:
+def _fig2(cfg: RunConfig) -> list:
     c = cfg.constants()
     alpha = cfg.alphas[0]
     spec = cfg.superposition(alpha)
@@ -112,11 +124,10 @@ def _fig2(cfg: RunConfig, outdir: str) -> list:
                 )
             cols.append(series.values)
             names.append("%s_offset=%.15g" % (fw, off))
-    path = os.path.join(outdir, "fig2_local_modular.csv")
-    return [_write_csv(path, cfg, ["figure: fig2 local modular values"], names, cols)]
+    return [("fig2_local_modular.csv", ["figure: fig2 local modular values"], names, cols)]
 
 
-def _fig3(cfg: RunConfig, outdir: str) -> list:
+def _fig3(cfg: RunConfig) -> list:
     c = cfg.constants()
     grid = TimeGrid(cfg.t_start, cfg.tmax, cfg.samples)
     ts = grid.times()
@@ -130,11 +141,10 @@ def _fig3(cfg: RunConfig, outdir: str) -> list:
             bath = cfg.bath(T)
             cols.append(np.array([cl_modular_closed(spec, bath, c, t) for t in ts]))
             names.append("alpha=%.15g_cl_T=%.15g" % (alpha, T))
-    path = os.path.join(outdir, "fig3_modular.csv")
-    return [_write_csv(path, cfg, ["figure: fig3 global modular signals"], names, cols)]
+    return [("fig3_modular.csv", ["figure: fig3 global modular signals"], names, cols)]
 
 
-def _fig4(cfg: RunConfig, outdir: str) -> list:
+def _fig4(cfg: RunConfig) -> list:
     c = cfg.constants()
     spec0 = cfg.superposition(cfg.alphas[0])
     windows = [
@@ -156,8 +166,7 @@ def _fig4(cfg: RunConfig, outdir: str) -> list:
         "figure: fig4 common-bath reduced modular signals",
         "two-particle windows: %s" % ",".join("%.6f" % w for w in windows),
     ]
-    path = os.path.join(outdir, "fig4_common_bath.csv")
-    return [_write_csv(path, cfg, header, names, cols)]
+    return [("fig4_common_bath.csv", header, names, cols)]
 
 
 _FIGURES = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
@@ -167,6 +176,12 @@ def generate_figure(name: str, cfg: RunConfig) -> list:
     """Emit the CSV files for one figure; returns the written paths."""
     if name not in _FIGURES:
         raise ConfigError("unknown figure %r (choose fig1..fig4)" % (name,))
-    outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
-    return _FIGURES[name](cfg, outdir)
+    tables = _FIGURES[name](cfg)
+    # check every table before writing any, so a failure leaves no partial output
+    for filename, _, names, cols in tables:
+        _check_columns(filename, names, cols)
+    os.makedirs(cfg.out, exist_ok=True)
+    return [
+        _write_csv(os.path.join(cfg.out, filename), cfg, header, names, cols)
+        for filename, header, names, cols in tables
+    ]

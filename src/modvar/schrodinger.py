@@ -86,16 +86,6 @@ def _packet_amplitude_dx(p: GaussianPacket, c: PhysicalConstants, x, t: float):
     return phi * (-(x - st.x_t) / (2.0 * st.s_t * p.sigma0) + 1j * st.p_t / c.hbar)
 
 
-def density_and_current(p: GaussianPacket, c: PhysicalConstants, x, t: float):
-    """Probability density and current of a single packet."""
-    st = packet_state(p, c, t)
-    x = np.asarray(x, dtype=float)
-    rho = np.exp(-((x - st.x_t) ** 2) / (2.0 * st.sigma_t**2)) \
-        / (math.sqrt(2.0 * math.pi) * st.sigma_t)
-    j = rho * bohmian_velocity(p, c, x, t)
-    return rho, j
-
-
 def bohmian_velocity(p: GaussianPacket, c: PhysicalConstants, x, t: float):
     """Velocity field guiding the packet's trajectories."""
     m, hbar, g = c.m, c.hbar, c.g

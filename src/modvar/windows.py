@@ -69,18 +69,21 @@ def overlap_window(
 
     if gap(0.0) >= 0.0:
         raise DomainError("packets already overlap at t = 0 for this support factor")
-    hi = 1.0
+    # double the bracket, with its last step clamped to the cap
+    lo, hi = 0.0, 1.0
     while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
+        if hi >= _BRACKET_CAP:
             raise DomainError("supports stay disjoint up to t = %g" % _BRACKET_CAP)
-    lo = hi / 2.0 if hi > 1.0 else 0.0
+        lo, hi = hi, min(2.0 * hi, _BRACKET_CAP)
     while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:
+        # every midpoint tried already overlapped: the root lies below _TOL
+        raise DomainError("supports touch before t = %g, below the solver's resolution" % hi)
     return OverlapWindow(t_max=0.5 * (lo + hi), criterion=crit)
 
 

@@ -1,397 +1,78 @@
 """Acceptance checks: one test per release criterion.
 
-Each test prints its observed numbers before asserting, so a red run still
-shows how far off the build is.  The criterion-1 reference windows are the
-ones the Caldeira-Leggett moment equations give when integrated on their own
-(see `modvar.oracles.moment_ode_window`).
+The criteria themselves are defined once, in `modvar.verify`, which also
+backs `modvar verify`.  Each test here runs one of them, prints its record
+so a red run still shows how far off the build is, and asserts that it
+passed.
 """
 
-import math
-import os
-import time
-from dataclasses import replace
+from modvar import verify
 
-import numpy as np
-import pytest
-from scipy.integrate import quad
+_BY_ID = {check.id: check for check in verify.CRITERIA}
 
-from conftest import base_constants, base_spec, make_bath
-from modvar.caldeira_leggett import (
-    CLDensityMatrix,
-    cl_bohmian_trajectory,
-    cl_current,
-    cl_density,
-    cl_modular_closed,
-    cl_modular_envelope_phase,
-    cl_modular_quadrature,
-    density_matrix_rR,
-    l1_coherence,
-    trace_check,
-)
-from modvar.config import FIGURE_DEFAULTS
-from modvar.figures import generate_figure
-from modvar.oracles import (
-    CLSource,
-    GridSpec,
-    SchrodingerSource,
-    characteristic_modular,
-    grid_propagator,
-    heisenberg_rhs_check,
-    l2_error,
-    pde_residual,
-    trajectory_ode_oracle,
-)
-from modvar.params import BathParams, PhysicalConstants, TimeGrid, make_superposition
-from modvar.schrodinger import (
-    bohmian_trajectory,
-    bohmian_velocity,
-    local_modular_pointwise,
-    modular_expectation,
-    packet_state,
-    superposed_amplitude,
-    superposed_density_and_current,
-)
-from modvar.two_particle import (
-    CompanionState,
-    StatisticsKind,
-    modular_indistinguishable,
-    modular_mb,
-    reduced_modular_components,
-)
-from modvar.windows import overlap_window
 
-GOLDEN_FIGS = os.path.join(os.path.dirname(__file__), "data", "golden_figs")
+def _check(cid):
+    result = _BY_ID[cid]()
+    print(verify.format_result(result))
+    assert result.passed, result
 
 
 def test_c01_nonoverlap_windows():
-    # four reference windows, +-0.005, under 1 s
-    c = base_constants()
-    spec = base_spec(0.0)
-    t0 = time.perf_counter()
-    got = [
-        overlap_window("schrodinger", spec, None, c).t_max,
-        overlap_window("cl", spec, make_bath(0.001, 2.0), c).t_max,
-        overlap_window("cl", spec, make_bath(0.001, 15.0), c).t_max,
-        overlap_window("cl", spec, make_bath(0.01, 15.0), c).t_max,
-    ]
-    elapsed = time.perf_counter() - t0
-    print(
-        "criterion 01: windows %.6f / %.6f / %.6f / %.6f, %.3f s"
-        % (got[0], got[1], got[2], got[3], elapsed)
-    )
-    assert elapsed < 1.0
-    assert got[0] == pytest.approx(10.002, abs=0.005)
-    assert got[1] == pytest.approx(9.606, abs=0.005)
-    assert got[2] == pytest.approx(7.858, abs=0.005)
-    assert got[3] == pytest.approx(4.704, abs=0.005)
+    _check("c01")
 
 
 def test_c02_unitary_modular_vs_characteristic_oracle():
-    # 200 samples across four phase offsets, max |diff| <= 1e-8, under 10 s
-    c = base_constants()
-    t0 = time.perf_counter()
-    worst = 0.0
-    for alpha in (0.0, math.pi / 4, math.pi / 2, math.pi):
-        spec = base_spec(alpha)
-        src = SchrodingerSource(spec, c)
-        for t in np.linspace(0.0, 2.0, 50):
-            closed = modular_expectation(spec, c, float(t))
-            oracle = characteristic_modular(src, float(t), spec.L).real
-            worst = max(worst, abs(closed - oracle))
-    elapsed = time.perf_counter() - t0
-    print("criterion 02: max |closed - quadrature| = %.3g, %.1f s" % (worst, elapsed))
-    assert worst <= 1e-8
-    assert elapsed < 10.0
+    _check("c02")
 
 
 def test_c03_dissipative_modular_vs_quadrature():
-    # relative (envelope-normalized) agreement over three bath settings,
-    # under 60 s; the hottest setting is sampled while the envelope still
-    # exceeds 1e-60, past which double-precision quadrature cannot resolve
-    # the cosine cancellation
-    c = base_constants()
-    spec = base_spec(0.0)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for gamma, T in ((0.001, 2.0), (0.001, 5.0), (0.005, 15.0)):
-        b = make_bath(gamma, T)
-        t_hi = 2.0
-        if cl_modular_envelope_phase(spec, b, c, t_hi)[0] < 1e-60:
-            lo_t, hi_t = 0.0, t_hi
-            for _ in range(60):
-                mid = 0.5 * (lo_t + hi_t)
-                if cl_modular_envelope_phase(spec, b, c, mid)[0] >= 1e-60:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            t_hi = lo_t
-        for t in np.linspace(0.0, t_hi, 21):
-            closed = cl_modular_closed(spec, b, c, float(t))
-            oracle = cl_modular_quadrature(spec, b, c, float(t), spec.L)
-            env, _ = cl_modular_envelope_phase(spec, b, c, float(t))
-            worst = max(worst, abs(closed - oracle) / env)
-    elapsed = time.perf_counter() - t0
-    print("criterion 03: worst relative diff = %.3g, %.1f s" % (worst, elapsed))
-    assert worst <= 1e-6
-    assert elapsed < 60.0
+    _check("c03")
 
 
 def test_c04_governing_equation_residuals():
-    # clean residuals small with second-order stencil convergence; a
-    # misread constant in one coefficient must blow the gate
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    b = make_bath(0.001, 2.0)
-    rep_s = pde_residual("schrodinger", spec, b, c)
-    rep_cl = pde_residual("cl", spec, b, c)
-    c2 = PhysicalConstants(hbar=2.0)
-    spec2 = make_superposition(L=50.0, sigma0=1.0, k=0.1, alpha=math.pi / 4, hbar=2.0)
-    b2 = BathParams(gamma=0.001, T=2.0, constants=c2)
-    rep_clean2 = pde_residual("cl", spec2, b2, c2)
-    rep_mut = pde_residual("cl", spec2, b2, c2, h_coeff=1.0)
-    print(
-        "criterion 04: residuals %.3g / %.3g (ratio %.2f), mutated %.3g"
-        % (rep_s.relative_residual, rep_cl.relative_residual, rep_cl.convergence_ratio,
-           rep_mut.relative_residual)
-    )
-    assert rep_s.relative_residual <= 1e-6
-    assert rep_cl.relative_residual <= 1e-6
-    assert 3.5 <= rep_cl.convergence_ratio <= 4.5
-    assert rep_clean2.relative_residual <= 1e-6
-    assert rep_mut.relative_residual > 1e-3
+    _check("c04")
 
 
 def test_c05_trajectory_ode_vs_closed_form():
-    c = base_constants()
-    spec = base_spec(0.0)
-    pA = spec.packetA
-    grid = TimeGrid(0.0, 2.0, 51)
-    worst_s = 0.0
-    for off in (-2.0, 0.0, 2.0):
-        X0 = pA.x0 + off * pA.sigma0
-        closed = bohmian_trajectory(pA, c, X0, grid)
-        ode = trajectory_ode_oracle(lambda x, t: bohmian_velocity(pA, c, x, t), X0, grid)
-        worst_s = max(worst_s, float(np.max(np.abs(closed.X - ode.X))))
-    b = make_bath(0.1, 10.0)
-    worst_cl = 0.0
-    for off in (-2.0, 0.0, 2.0):
-        X0 = pA.x0 + off * pA.sigma0
-        closed = cl_bohmian_trajectory(pA, b, c, X0, grid)
-
-        def v(x, t):
-            return cl_current(spec, b, c, x, t) / cl_density(spec, b, c, x, t)
-
-        ode = trajectory_ode_oracle(v, X0, grid)
-        worst_cl = max(worst_cl, float(np.max(np.abs(closed.X - ode.X))))
-    print("criterion 05: max |dX| unitary %.3g, dissipative %.3g" % (worst_s, worst_cl))
-    assert worst_s <= 1e-6
-    assert worst_cl <= 1e-5
-
-
-def _support_integral(f, centers, width, reach=10.0):
-    total = 0.0
-    for xc in sorted(centers):
-        val, _ = quad(f, xc - reach * width, xc + reach * width, epsabs=1e-12, limit=200)
-        total += val
-    return total
+    _check("c05")
 
 
 def test_c06_local_to_global_decomposition():
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    worst_s = 0.0
-    for t in (0.5, 1.5):
-        sa = packet_state(spec.packetA, c, t)
-        sb = packet_state(spec.packetB, c, t)
-
-        def integrand(x):
-            dens, _ = superposed_density_and_current(spec, c, x, t)
-            return dens * local_modular_pointwise(spec, c, x, t)
-
-        total = _support_integral(integrand, [sa.x_t, sb.x_t], max(sa.sigma_t, sb.sigma_t))
-        worst_s = max(worst_s, abs(total - modular_expectation(spec, c, t)))
-    b = make_bath(0.001, 2.0)
-    rho = CLDensityMatrix(spec, b, c)
-    worst_cl = 0.0
-    for t in (0.8,):
-
-        def integrand_cl(x):
-            up = complex(rho(spec.L, x + spec.L / 2.0, t))
-            dn = complex(rho(-spec.L, x - spec.L / 2.0, t))
-            return 0.5 * (up + dn).real
-
-        total = 0.0
-        for lo, hi in ((-45.0, -5.0), (-5.0, 5.0), (5.0, 45.0)):
-            val, _ = quad(integrand_cl, lo, hi, epsabs=1e-12, limit=200)
-            total += val
-        worst_cl = max(worst_cl, abs(total - cl_modular_quadrature(spec, b, c, t, spec.L)))
-    print("criterion 06: decomposition defect unitary %.3g, dissipative %.3g" % (worst_s, worst_cl))
-    assert worst_s <= 1e-6
-    assert worst_cl <= 1e-6
+    _check("c06")
 
 
 def test_c07_expectation_evolution_residuals():
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    worst = 0.0
-    for gamma, T in ((0.001, 2.0), (0.005, 15.0)):
-        b = make_bath(gamma, T)
-        for t in np.linspace(0.1, 1.9, 10):
-            rep = heisenberg_rhs_check(spec, b, c, float(t))
-            worst = max(worst, rep.relative_residual)
-    rep0 = heisenberg_rhs_check(spec, make_bath(0.0, 2.0), c, 1.0)
-    print("criterion 07: residual %.3g, frictionless %.3g" % (worst, rep0.relative_residual))
-    assert worst <= 1e-5
-    assert rep0.relative_residual <= 1e-7
+    _check("c07")
 
 
 def test_c08_density_matrix_sanity_all_figure_sets():
-    xs = np.linspace(-40.0, 40.0, 81)
-    rs = np.array([-50.0, -25.0, -2.0, -0.5, 0.0, 0.5, 2.0, 25.0, 50.0])
-    worst_trace = 0.0
-    worst_herm = 0.0
-    min_diag = np.inf
-    for name, cfg in FIGURE_DEFAULTS.items():
-        c = cfg.constants()
-        for T in cfg.temperatures:
-            b = cfg.bath(T)
-            for alpha in cfg.alphas:
-                spec = cfg.superposition(alpha)
-                for t in (0.0, 1.0, 2.0):
-                    worst_trace = max(worst_trace, abs(trace_check(spec, b, c, t) - 1.0))
-                    rho_p = density_matrix_rR(spec, b, c, rs[:, None], xs[None, :], t)
-                    rho_m = density_matrix_rR(spec, b, c, -rs[:, None], xs[None, :], t)
-                    worst_herm = max(worst_herm, float(np.max(np.abs(rho_p - np.conj(rho_m)))))
-                    min_diag = min(min_diag, float(np.min(cl_density(spec, b, c, xs, t))))
-    print(
-        "criterion 08: |trace-1| %.3g, hermiticity defect %.3g, min diagonal %.3g"
-        % (worst_trace, worst_herm, min_diag)
-    )
-    assert worst_trace <= 1e-8
-    assert worst_herm <= 1e-10
-    assert min_diag >= 0.0
+    _check("c08")
 
 
 def test_c09_continuum_limit_halving_ratio():
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    gammas = (1e-3, 5e-4, 2.5e-4)
-    # sample before the gamma-linear decoherence exponent saturates, else
-    # the difference plateaus and the halving ratio collapses
-    rate = 2.0 * gammas[0] * c.kB * 2.0 * spec.L**2 / c.hbar**2
-    ts = np.linspace(0.0, 0.25 / rate, 16)
-    sch = np.array([modular_expectation(spec, c, float(t)) for t in ts])
-    errs = []
-    for gamma in gammas:
-        b = make_bath(gamma, 2.0)
-        cl = np.array([cl_modular_closed(spec, b, c, float(t)) for t in ts])
-        errs.append(float(np.max(np.abs(cl - sch))))
-    r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
-    print("criterion 09: halving ratios %.3f, %.3f" % (r1, r2))
-    assert abs(r1 - 2.0) <= 0.2
-    assert abs(r2 - 2.0) <= 0.2
+    _check("c09")
 
 
 def test_c10_exchange_statistics_ratios():
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    mb = modular_mb(spec, c)
-    be = modular_indistinguishable(spec, CompanionState("equals-B"), StatisticsKind.BE, c)
-    fd = modular_indistinguishable(spec, CompanionState("equals-B"), StatisticsKind.FD, c)
-    dj_be = modular_indistinguishable(spec, CompanionState("disjoint"), StatisticsKind.BE, c)
-    dj_fd = modular_indistinguishable(spec, CompanionState("disjoint"), StatisticsKind.FD, c)
-    dev = max(
-        abs(be / mb - 1.0 / math.sqrt(3.0)),
-        abs(fd / mb - 1.0),
-        abs(dj_be / mb - 0.5),
-        abs(dj_fd / mb - 0.5),
-    )
-    print("criterion 10: worst ratio deviation %.3g" % dev)
-    assert dev <= 1e-12
+    _check("c10")
 
 
 def test_c11_temperature_and_phase_separation():
-    c = base_constants()
-    spec = base_spec(math.pi / 2)
-    baths = [make_bath(0.005, T) for T in (2.0, 5.0, 15.0)]
-    worst_phase_spread = 0.0
-    for t in (0.0, 0.5, 1.0, 2.0):
-        phases = [reduced_modular_components(spec, b, c, t)[1] for b in baths]
-        worst_phase_spread = max(worst_phase_spread, max(phases) - min(phases))
-    envs = [reduced_modular_components(spec, b, c, 1.0)[0] for b in baths]
-    h = 1e-6
-    phi0 = reduced_modular_components(spec, baths[2], c, 0.0)[1]
-    phi2 = reduced_modular_components(spec, baths[2], c, 2.0 * h)[1]
-    freq = -(phi2 - phi0) / (2.0 * h)
-    omega0 = spec.L * (spec.k * baths[2].gamma + c.m * c.g / c.hbar)
-    print(
-        "criterion 11: phase spread %.3g, envelopes %s, freq %.4f vs %.4f"
-        % (worst_phase_spread, ["%.3g" % e for e in envs], freq, omega0)
-    )
-    assert worst_phase_spread <= 1e-12
-    assert envs[0] > envs[1] > envs[2]
-    assert abs(freq - omega0) <= 0.01 * abs(omega0)
+    _check("c11")
 
 
 def test_c12_local_observables_blind_to_relative_phase():
-    c = base_constants()
-    alphas = (0.0, math.pi / 4, math.pi / 2, math.pi)
-    xs = np.linspace(-40.0, 40.0, 161)
-    b = make_bath(0.001, 2.0)
-    worst = 0.0
-    for t in (0.0, 1.0, 2.0):
-        dens, curs = [], []
-        for alpha in alphas:
-            spec = base_spec(alpha)
-            d_s, j_s = superposed_density_and_current(spec, c, xs, t)
-            d_c = cl_density(spec, b, c, xs, t)
-            j_c = cl_current(spec, b, c, xs, t)
-            dens.append((d_s, d_c))
-            curs.append((j_s, j_c))
-        for i in range(len(alphas)):
-            for j in range(i + 1, len(alphas)):
-                for k in (0, 1):
-                    worst = max(worst, float(np.max(np.abs(dens[i][k] - dens[j][k]))))
-                    worst = max(worst, float(np.max(np.abs(curs[i][k] - curs[j][k]))))
-    v0, e0 = l1_coherence(base_spec(0.0), b, c, 1.0)
-    v1, e1 = l1_coherence(base_spec(math.pi / 2), b, c, 1.0)
-    l1_diff = abs(v0 - v1)
-    print("criterion 12: worst local diff %.3g, l1 diff %.3g (quad err %.3g)" % (worst, l1_diff, e0 + e1))
-    assert worst <= 1e-12
-    assert l1_diff <= e0 + e1 + 1e-12
+    _check("c12")
 
 
 def test_c13_spectral_propagation_error():
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    t0 = time.perf_counter()
-    prop = grid_propagator(spec, c)  # convergence-studied default resolution
-    closed = superposed_amplitude(spec, c, prop.x, 2.0)
-    err = l2_error(prop.x, prop.psi, closed)
-    # halving the step count must show the second-order splitting defect
-    coarse = grid_propagator(spec, c, GridSpec(n_steps=4000))
-    err_coarse = l2_error(coarse.x, coarse.psi, superposed_amplitude(spec, c, coarse.x, 2.0))
-    elapsed = time.perf_counter() - t0
-    ratio = err_coarse / err
-    print(
-        "criterion 13: L2 %.3g (coarse/fine ratio %.2f), norm drift %.3g, %.1f s"
-        % (err, ratio, prop.norm_drift, elapsed)
-    )
-    assert err <= 1e-6
-    assert prop.norm_drift <= 1e-10
-    assert 3.0 <= ratio <= 5.0
-    assert elapsed < 60.0
+    _check("c13")
 
 
-def test_c14_figure_csv_regression(tmp_path):
-    mismatched = []
-    for name in ("fig1", "fig2", "fig3", "fig4"):
-        cfg = replace(FIGURE_DEFAULTS[name], out=str(tmp_path))
-        for path in generate_figure(name, cfg):
-            fname = os.path.basename(path)
-            golden = os.path.join(GOLDEN_FIGS, fname)
-            assert os.path.exists(golden), "no golden copy for %s" % fname
-            if open(path, "rb").read() != open(golden, "rb").read():
-                mismatched.append(fname)
-    print("criterion 14: %s" % ("all figure files byte-identical" if not mismatched else mismatched))
-    assert not mismatched
+def test_c14_figure_csv_regression():
+    _check("c14")
+
+
+def test_every_criterion_has_a_test():
+    tested = sorted(name[5:8] for name in globals() if name.startswith("test_c"))
+    assert tested == sorted(_BY_ID)

@@ -1,11 +1,21 @@
-"""End-to-end command-line behavior through subprocesses."""
+"""End-to-end command-line behavior, through subprocesses and, for the
+property test, in process."""
 
+import contextlib
+import io
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modvar import cli
 
 
 def run_cli(*argv, cwd=None):
@@ -70,6 +80,64 @@ def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):
     assert "configuration error" in res.stderr
     assert res.stdout == ""
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("window", "--framework", "cl", "--gamma", "0.001", "--temperature", "1e308"),
+        ("figure", "fig3", "--temperature", "1e308"),
+        ("figure", "fig1", "--gamma", "1e308", "--temperature", "1e308"),
+        ("window", "--framework", "cl", "--sigma0", "1e-200"),
+        ("window", "--framework", "cl", "--sigma0", "1e200"),
+    ],
+)
+def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
+    # finite input past what double precision carries: a window below the
+    # solver's resolution, NaN columns (in fig1's third of four files), or an
+    # overflowing width
+    res = run_cli(*argv, "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert "numerical failure" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
+_EXTREMES = [0.0, -0.0, -1.0, 1e-300, -1e-300, 1e-200, 1e200, 1e300, -1e300, 1e308,
+             math.nan, math.inf, -math.inf]
+_FLAGS = ("--gamma", "--temperature", "--kick", "--sigma0", "--support-factor")
+
+
+def _all_finite_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = [line for line in fh if not line.startswith("#")]
+    return all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from([("window", "--framework", "cl"), ("figure", "fig3")]),
+    values=st.tuples(*[st.none() | st.sampled_from(_EXTREMES) | st.floats() for _ in _FLAGS]),
+)
+def test_cli_exits_cleanly_or_gives_finite_output(command, values):
+    # any float on these flags: exit 2 or 1, or exit 0 with t_max > 0 or an
+    # all-finite CSV; never an escaping exception
+    argv = list(command) + ["%s=%r" % (f, v) for f, v in zip(_FLAGS, values) if v is not None]
+    with tempfile.TemporaryDirectory() as out:
+        stdout = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = cli.main(argv + ["--out", out])
+        written = [os.path.join(out, name) for name in os.listdir(out)]
+        if code != 0:
+            assert code in (1, 2)
+            assert not written
+        elif command[0] == "window":
+            assert float(re.search(r"t_max = (\S+)", stdout.getvalue()).group(1)) > 0.0
+        else:
+            assert written and all(_all_finite_rows(path) for path in written)
 
 
 def test_non_finite_width_is_named():

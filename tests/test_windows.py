@@ -1,13 +1,14 @@
 """Validity-window solver: the time up to which the two supports stay
 disjoint."""
 
-import math
-
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import base_constants, base_spec, make_bath
 from modvar.caldeira_leggett import cl_packet_state
-from modvar.params import ParameterError, scaled_time_tau
+from modvar.oracles import moment_ode_window
+from modvar.params import ParameterError, scaled_time_tau, validate_regime
 from modvar.schrodinger import DomainError, packet_state
 from modvar.windows import overlap_window, two_particle_window
 
@@ -103,3 +104,24 @@ def test_window_argument_validation():
         overlap_window("lindblad", base_spec(0.0), None, c)
     with pytest.raises(ParameterError):
         overlap_window("cl", base_spec(0.0), None, c)
+
+
+@settings(max_examples=15, deadline=None)
+@given(gamma=st.floats(0.0, 1.0), T=st.floats(0.1, 20.0), s=st.floats(1.0, 10.0))
+@example(gamma=0.0078125, T=0.125, s=1.0)  # window 75.16, past the last doubling below the cap
+def test_window_matches_moment_ode_in_regime(gamma, T, s):
+    # the doubling bracket must not step over an early root: the solver
+    # agrees with the independently integrated moment equations anywhere in
+    # the high-temperature regime
+    c = base_constants()
+    b = make_bath(gamma, T)
+    assume(not validate_regime(c, b))
+    solved = overlap_window("cl", base_spec(0.0), b, c, support_factor=s).t_max
+    assert solved == pytest.approx(moment_ode_window(base_spec(0.0), b, c, s), abs=1e-6)
+
+
+def test_window_below_resolution_is_a_domain_error():
+    # at T = 1e308 the supports touch within the 1e-6 bisection tolerance;
+    # the solver must not report t_max = 0
+    with pytest.raises(DomainError):
+        overlap_window("cl", base_spec(0.0), make_bath(0.001, 1e308), base_constants())
