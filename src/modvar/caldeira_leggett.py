@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .params import (
     SuperpositionSpec,
     TimeGrid,
     TimeSeries,
+    float_if_scalar,
     friction_drift,
     scaled_time_tau,
 )
@@ -54,7 +56,7 @@ def _width_bracket_over_u3(u):
     with np.errstate(divide="ignore", invalid="ignore"):
         closed = (3.0 + np.exp(-2.0 * u) - 4.0 * np.exp(-u) - 2.0 * u) / u**3
     out = np.where(small, acc, closed)
-    return out if out.shape else float(out)
+    return float_if_scalar(out)
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ def _center_width(p: GaussianPacket, gamma: float, D: float, c: PhysicalConstant
     ts = np.asarray(ts, dtype=float)
     m, hbar, g = c.m, c.hbar, c.g
     s0 = p.sigma0
-    tau = _tau_vec(gamma, ts)
-    drift = _drift_vec(gamma, ts)
+    tau = scaled_time_tau(gamma, ts)
+    drift = friction_drift(gamma, ts)
     x_t = p.x0 + p.p0 * tau / m - g * drift
     # diffusive broadening: -(bracket) D/(8 m^2 gamma^3) = -D t^3 h(u)/m^2, u = 2 gamma t
     u = 2.0 * gamma * ts
@@ -85,29 +87,6 @@ def _center_width(p: GaussianPacket, gamma: float, D: float, c: PhysicalConstant
         - D * ts**3 * _width_bracket_over_u3(u) / m**2
     w_t = np.sqrt(w_sq)
     return x_t, w_t, tau
-
-
-def _tau_vec(gamma, ts):
-    ts = np.asarray(ts, dtype=float)
-    if gamma == 0.0:
-        return ts.copy() if ts.shape else float(ts)
-    gt = gamma * ts
-    series = ts * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
-    closed = -np.expm1(-2.0 * gamma * ts) / (2.0 * gamma)
-    out = np.where(gt < 1e-4, series, closed)
-    return out if out.shape else float(out)
-
-
-def _drift_vec(gamma, ts):
-    ts = np.asarray(ts, dtype=float)
-    if gamma == 0.0:
-        out = 0.5 * ts * ts
-        return out if out.shape else float(out)
-    gt = gamma * ts
-    series = ts * ts * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
-    closed = (ts - _tau_vec(gamma, ts)) / (2.0 * gamma)
-    out = np.where(gt < 1e-4, series, closed)
-    return out if out.shape else float(out)
 
 
 def cl_packet_state(
@@ -129,10 +108,12 @@ def cl_bohmian_trajectory(
 
 
 def _term_parts(spec, b, c, t, h_coeff=None):
-    """Shared coefficient structure at time t.
+    """Shared coefficient structure at time(s) t.
 
     Returns (w, quad, slope, [(A_j, lin_j, beta_j)]_j, weights) where
-    a_j(r) = A_j + lin_j r + quad r^2 and b_j(r) = beta_j + slope r.
+    a_j(r) = A_j + lin_j r + quad r^2 and b_j(r) = beta_j + slope r.  The
+    time-dependent parts have the shape of t, so an array of t broadcasts
+    against r and R in _eval_parts.
     """
     m, hbar, g = c.m, c.hbar, c.g
     gamma, D = b.gamma, b.D
@@ -140,13 +121,10 @@ def _term_parts(spec, b, c, t, h_coeff=None):
     L, k = spec.L, spec.k
     h = c.hbar if h_coeff is None else h_coeff
 
-    tau = scaled_time_tau(gamma, t)
+    _, w, tau = _center_width(spec.packetA, gamma, D, c, t)
     tau4 = scaled_time_tau(2.0 * gamma, t)  # (1 - e^{-4 gamma t}) / (4 gamma)
     drift = friction_drift(gamma, t)
-    e2 = math.exp(-2.0 * gamma * t)
-
-    _, w_arr, _ = _center_width(spec.packetA, gamma, D, c, t)
-    w = float(w_arr)
+    e2 = np.exp(-2.0 * gamma * t)
 
     quad = -(D * tau4 / hbar**2 + e2 * e2 / (8.0 * s0**2))
     slope = -(D * tau**2 / (hbar * m) + hbar * tau * e2 / (4.0 * m * s0**2))
@@ -172,7 +150,7 @@ def _term_parts(spec, b, c, t, h_coeff=None):
 
 
 def _eval_parts(parts, r, R):
-    """rho(r, R) from precomputed coefficient parts (broadcasts r and R)."""
+    """rho(r, R) from precomputed coefficient parts (broadcasts t, r and R)."""
     w, quad, slope, terms, weights = parts
     r = np.asarray(r)
     R = np.asarray(R)
@@ -245,7 +223,7 @@ def cl_density(spec, b, c, x, t: float):
     """Diagonal rho(x, x, t); real and nonnegative."""
     val = density_matrix_rR(spec, b, c, 0.0, x, t)
     out = np.real(val)
-    return out if out.shape else float(out)
+    return float_if_scalar(out)
 
 
 def cl_current(spec, b, c, x, t: float, method: str = "analytic"):
@@ -266,7 +244,7 @@ def cl_current(spec, b, c, x, t: float, method: str = "analytic"):
     else:
         raise ParameterError("method must be 'analytic' or 'step'")
     out = (c.hbar / c.m) * np.imag(d)
-    return out if out.shape else float(out)
+    return float_if_scalar(out)
 
 
 def local_translation(spec, b, c, x: float, t: float) -> complex:
@@ -284,27 +262,23 @@ def cl_local_modular_on_trajectory(
 ) -> TimeSeries:
     """Local Hermitian modular value along the left packet's trajectory:
     Re{[rho(X+L, X) + rho(X-L, X)] / (2 rho(X, X))}."""
-    import warnings as _warnings
-
     pA = spec.packetA
     if abs(X0 - pA.x0) > support_factor * pA.sigma0:
-        _warnings.warn(
+        warnings.warn(
             "X0 = %g lies outside the left packet's %g-sigma support" % (X0, support_factor)
         )
     traj = cl_bohmian_trajectory(pA, b, c, X0, grid)
-    L = spec.L
-    vals = np.empty(len(traj.t))
-    for i, (t, X) in enumerate(traj.samples):
-        parts = _term_parts(spec, b, c, t)
-        den = _eval_parts(parts, 0.0, np.asarray(X))
-        if abs(den) < _UNDERFLOW:
-            raise DomainError("rho(X, X, t) underflows at t = %g" % t)
-        up = _eval_parts(parts, L, np.asarray(X + L / 2.0))
-        dn = _eval_parts(parts, -L, np.asarray(X - L / 2.0))
-        vals[i] = np.real((up + dn) / (2.0 * den))
+    ts, X, L = traj.t, traj.X, spec.L
+    parts = _term_parts(spec, b, c, ts)
+    den = _eval_parts(parts, 0.0, X)
+    under = np.abs(den) < _UNDERFLOW
+    if under.any():
+        raise DomainError("rho(X, X, t) underflows at t = %g" % ts[np.argmax(under)])
+    up = _eval_parts(parts, L, X + L / 2.0)
+    dn = _eval_parts(parts, -L, X - L / 2.0)
     return TimeSeries(
-        t=traj.t,
-        values=vals,
+        t=ts,
+        values=np.real((up + dn) / (2.0 * den)),
         provenance="cl local modular, X0=%g, alpha=%g, gamma=%g, T=%g"
         % (X0, spec.alpha, b.gamma, b.T),
     )
@@ -398,27 +372,30 @@ def cl_modular_quadrature(spec, b, c, t: float, ell: float) -> float:
     return float((total / 2.0).real)
 
 
-def cl_modular_envelope_phase(spec, b, c, t: float):
-    """Envelope and cosine argument of the dissipative modular signal."""
+def cl_modular_envelope_phase(spec, b, c, t):
+    """Envelope and cosine argument of the dissipative modular signal, over
+    a scalar or an array of t."""
     m, hbar, g = c.m, c.hbar, c.g
     gamma, D = b.gamma, b.D
     s0, L, k = spec.sigma0, spec.L, spec.k
     tau = scaled_time_tau(gamma, t)
     tau4 = scaled_time_tau(2.0 * gamma, t)
-    envelope = 0.5 * math.exp(
+    # tau * tau, not tau**2: Python's float power and numpy's square round
+    # differently, and a scalar t must give the bits of an array of t
+    envelope = 0.5 * np.exp(
         -D * L**2 * tau4 / hbar**2
-        - L**2 * gamma**2 * tau**2 / (2.0 * s0**2)
+        - L**2 * gamma**2 * (tau * tau) / (2.0 * s0**2)
         - 0.5 * k**2 * s0**2
     )
     phase = spec.alpha - L * tau * (k * gamma + m * g / hbar)
-    return envelope, phase
+    return float_if_scalar(envelope), phase
 
 
-def cl_modular_closed(spec, b, c, t: float) -> float:
+def cl_modular_closed(spec, b, c, t):
     """Closed-form dissipative modular signal; reduces exactly to the unitary
-    result as gamma -> 0."""
+    result as gamma -> 0.  Takes a scalar or an array of t."""
     envelope, phase = cl_modular_envelope_phase(spec, b, c, t)
-    return envelope * math.cos(phase)
+    return float_if_scalar(envelope * np.cos(phase))
 
 
 def trace_check(spec, b, c, t: float) -> float:

@@ -12,8 +12,8 @@ from dataclasses import fields
 
 from .caldeira_leggett import QuadratureError
 from .config import ConfigError, RunConfig, file_key, load_config_file, resolve_config
-from .figures import generate_figure
-from .params import ParameterError
+from .figures import cl_temperatures, generate_figure
+from .params import ParameterError, validate_regime
 from .schrodinger import DomainError
 from .verify import run_suite
 from .windows import overlap_window
@@ -77,6 +77,13 @@ def _resolved(args, figure=None):
     return resolve_config(figure, file_updates, _flag_updates(args))
 
 
+def _warn_regime(cfg: RunConfig, temperatures) -> None:
+    """Print on stderr each regime warning of the CL baths at these temperatures."""
+    for T in temperatures:
+        for text in validate_regime(cfg.constants(), cfg.bath(T)):
+            print("warning: %s" % text, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -85,7 +92,10 @@ def main(argv=None) -> int:
             if cfg.framework not in ("schrodinger", "cl"):
                 raise ConfigError("window needs --framework schrodinger or cl")
             spec = cfg.superposition(cfg.alphas[0])
-            bath = cfg.bath() if cfg.framework == "cl" else None
+            bath = None
+            if cfg.framework == "cl":
+                bath = cfg.bath()
+                _warn_regime(cfg, cfg.temperatures[:1])
             win = overlap_window(
                 cfg.framework, spec, bath, cfg.constants(), cfg.support_factor
             )
@@ -94,6 +104,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "figure":
             cfg = _resolved(args, figure=args.name)
+            _warn_regime(cfg, cl_temperatures(args.name, cfg))
             for path in generate_figure(args.name, cfg):
                 print(path)
             return 0

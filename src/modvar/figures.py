@@ -61,6 +61,14 @@ def _frameworks(cfg: RunConfig) -> list:
     return ["schrodinger", "cl"] if cfg.framework == "both" else [cfg.framework]
 
 
+def cl_temperatures(name: str, cfg: RunConfig) -> tuple:
+    """Temperatures of the CL baths a figure evaluates: all of them for fig3
+    and fig4, the first for fig1 and fig2 unless those are unitary only."""
+    if name in ("fig3", "fig4"):
+        return cfg.temperatures
+    return cfg.temperatures[:1] if "cl" in _frameworks(cfg) else ()
+
+
 def _fig1(cfg: RunConfig) -> list:
     c = cfg.constants()
     spec = cfg.superposition(cfg.alphas[0])
@@ -70,20 +78,16 @@ def _fig1(cfg: RunConfig) -> list:
     ts_density = np.linspace(cfg.t_start, cfg.tmax, _FIG1_TSAMPLES)
     tables = []
     for fw in _frameworks(cfg):
-        density_cols = [xs]
-        names = ["x"]
-        for t in ts_density:
-            if fw == "schrodinger":
-                rho, _ = superposed_density_and_current(spec, c, xs, float(t))
-            else:
-                rho = cl_density(spec, bath, c, xs, float(t))
-            density_cols.append(np.asarray(rho))
-            names.append("t=%.15g" % t)
+        # one (t, x) grid per framework: a row per density time
+        if fw == "schrodinger":
+            rho, _ = superposed_density_and_current(spec, c, xs, ts_density[:, None])
+        else:
+            rho = cl_density(spec, bath, c, xs, ts_density[:, None])
         tables.append((
             "fig1_density_%s.csv" % fw,
             ["figure: fig1 density grid, framework=%s" % fw],
-            names,
-            density_cols,
+            ["x"] + list(np.char.mod("t=%.15g", ts_density)),
+            [xs] + list(rho),
         ))
 
         traj_cols = [grid.times()]
@@ -135,11 +139,10 @@ def _fig3(cfg: RunConfig) -> list:
     names = ["t"]
     for alpha in cfg.alphas:
         spec = cfg.superposition(alpha)
-        cols.append(np.array([modular_expectation(spec, c, t) for t in ts]))
+        cols.append(modular_expectation(spec, c, ts))
         names.append("alpha=%.15g_schrodinger" % alpha)
         for T in cfg.temperatures:
-            bath = cfg.bath(T)
-            cols.append(np.array([cl_modular_closed(spec, bath, c, t) for t in ts]))
+            cols.append(cl_modular_closed(spec, cfg.bath(T), c, ts))
             names.append("alpha=%.15g_cl_T=%.15g" % (alpha, T))
     return [("fig3_modular.csv", ["figure: fig3 global modular signals"], names, cols)]
 
@@ -159,8 +162,7 @@ def _fig4(cfg: RunConfig) -> list:
     for alpha in cfg.alphas:
         spec = cfg.superposition(alpha)
         for T in cfg.temperatures:
-            bath = cfg.bath(T)
-            cols.append(np.array([reduced_modular_common_bath(spec, bath, c, t) for t in ts]))
+            cols.append(reduced_modular_common_bath(spec, cfg.bath(T), c, ts))
             names.append("alpha=%.15g_T=%.15g" % (alpha, T))
     header = [
         "figure: fig4 common-bath reduced modular signals",

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .params import (
     BathParams,
-    GaussianPacket,
     ParameterError,
     PhysicalConstants,
     SuperpositionSpec,
@@ -27,9 +26,7 @@ from .params import (
 from .schrodinger import (
     BohmianTrajectory,
     DomainError,
-    _packet_amplitude_dx,
     _superposed_amplitude_dx,
-    packet_amplitude,
     packet_state,
     superposed_amplitude,
 )
@@ -55,29 +52,20 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class SchrodingerSource:
-    """Pure-state source: a superposition or a single packet."""
+    """Pure-state source: the two-packet superposition."""
 
-    state: Union[SuperpositionSpec, GaussianPacket]
+    spec: SuperpositionSpec
     c: PhysicalConstants
 
     def amplitude(self, x, t):
-        if isinstance(self.state, SuperpositionSpec):
-            return superposed_amplitude(self.state, self.c, x, t)
-        return packet_amplitude(self.state, self.c, x, t)
+        return superposed_amplitude(self.spec, self.c, x, t)
 
     def amplitude_dx(self, x, t):
-        if isinstance(self.state, SuperpositionSpec):
-            return _superposed_amplitude_dx(self.state, self.c, x, t)
-        return _packet_amplitude_dx(self.state, self.c, x, t)
+        return _superposed_amplitude_dx(self.spec, self.c, x, t)
 
     def centers_width(self, t):
-        if isinstance(self.state, SuperpositionSpec):
-            packets = [self.state.packetA, self.state.packetB]
-        else:
-            packets = [self.state]
-        centers = [packet_state(p, self.c, t).x_t for p in packets]
-        width = max(packet_state(p, self.c, t).sigma_t for p in packets)
-        return centers, width
+        states = [packet_state(p, self.c, t) for p in (self.spec.packetA, self.spec.packetB)]
+        return [st.x_t for st in states], max(st.sigma_t for st in states)
 
     def line(self, r, t, d_dr=False):
         """Integrand x -> Psi*(x) Psi(x + r) of chi(r, t) (its r-derivative
@@ -93,42 +81,23 @@ class SchrodingerSource:
 
 @dataclass(frozen=True)
 class CLSource:
-    """Dissipative source: analytic density matrix of a superposition or a
-    single packet."""
+    """Dissipative source: analytic density matrix of the superposition."""
 
-    state: Union[SuperpositionSpec, GaussianPacket]
+    spec: SuperpositionSpec
     bath: BathParams
     c: PhysicalConstants
     h_coeff: float | None = None
 
-    def parts(self, t):
-        if isinstance(self.state, SuperpositionSpec):
-            return _term_parts(self.state, self.bath, self.c, t, self.h_coeff)
-        # single packet: one term with the same shared quadratic/slope structure
-        p = self.state
-        c, b = self.c, self.bath
-        from .params import scaled_time_tau
-
-        tau = scaled_time_tau(b.gamma, t)
-        tau4 = scaled_time_tau(2.0 * b.gamma, t)
-        e2 = math.exp(-2.0 * b.gamma * t)
-        x_t, w, _ = _center_width(p, b.gamma, b.D, c, t)
-        quad = -(b.D * tau4 / c.hbar**2 + e2 * e2 / (8.0 * p.sigma0**2))
-        slope = -(b.D * tau**2 / (c.hbar * c.m) + c.hbar * tau * e2 / (4.0 * c.m * p.sigma0**2))
-        lin = -1j * c.m * c.g * tau / c.hbar + 1j * (p.p0 / c.hbar) * e2
-        beta = 1j * float(x_t)
-        return (float(w), quad, slope, [(0.0, lin, beta)], [1.0])
-
     def line(self, r, t, d_dr=False):
         """Integrand R -> rho(r, R, t) of chi(r, t) (its r-derivative when
         d_dr), with the term peaks and width that place the quadrature."""
-        parts = self.parts(t)
+        parts = _term_parts(self.spec, self.bath, self.c, t, self.h_coeff)
         evaluate = _eval_parts_dr if d_dr else _eval_parts
         peaks = [beta.imag for (_, _, beta) in parts[3]]
         return (lambda R: evaluate(parts, r, R)), peaks, parts[0]
 
 
-Source = Union[SchrodingerSource, CLSource]
+Source = SchrodingerSource | CLSource
 
 
 class CharacteristicFunction:

@@ -164,35 +164,50 @@ def diffusion_coefficient(c: PhysicalConstants, gamma: float, T: float) -> float
     return 2.0 * c.m * gamma * c.kB * T
 
 
+def float_if_scalar(x):
+    """x as a plain float when it is a scalar, unchanged when it is an array."""
+    return x if np.ndim(x) else float(x)
+
+
 # Below gamma*t = 1e-4 the closed form 1 - e^{-2 gamma t} loses digits to
 # cancellation, so a short series takes over; both branches carry >= 12
 # significant digits at the switch.
 _TAU_SWITCH = 1e-4
 
 
-def scaled_time_tau(gamma: float, t: float) -> float:
+def scaled_time_tau(gamma: float, t):
     """tau(t) = (1 - e^{-2 gamma t}) / (2 gamma), the friction-scaled time.
 
     Monotone in t, bounded by 1/(2 gamma); returns t exactly when gamma = 0.
+    Takes a scalar or an array of t and returns a float for scalar t.
     """
-    gt = gamma * t
-    if gt < _TAU_SWITCH:
+    t = np.asarray(t, dtype=float)
+    if gamma == 0.0:
+        out = t.copy()
+    else:
+        gt = gamma * t
         # tau = t (1 - g t + (2/3)(g t)^2 - (1/3)(g t)^3 + (2/15)(g t)^4)
-        return t * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
-    return -math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
+        series = t * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
+        out = np.where(gt < _TAU_SWITCH, series, -np.expm1(-2.0 * gamma * t) / (2.0 * gamma))
+    return float_if_scalar(out)
 
 
-def friction_drift(gamma: float, t: float) -> float:
+def friction_drift(gamma: float, t):
     """(t - tau(t)) / (2 gamma), the friction contribution to the center drift.
 
     Has a finite gamma -> 0 limit of t^2/2, evaluated by series below the
-    same switch threshold as scaled_time_tau.
+    same switch threshold as scaled_time_tau.  Takes a scalar or an array of
+    t and returns a float for scalar t.
     """
-    gt = gamma * t
-    if gt < _TAU_SWITCH:
+    t = np.asarray(t, dtype=float)
+    if gamma == 0.0:
+        out = 0.5 * t * t
+    else:
+        gt = gamma * t
         # (t - tau)/(2 gamma) = t^2 (1/2 - gt/3 + gt^2/6 - gt^3/15 + gt^4/45)
-        return t * t * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
-    return (t - scaled_time_tau(gamma, t)) / (2.0 * gamma)
+        series = t * t * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
+        out = np.where(gt < _TAU_SWITCH, series, (t - scaled_time_tau(gamma, t)) / (2.0 * gamma))
+    return float_if_scalar(out)
 
 
 def validate_regime(c: PhysicalConstants, b: BathParams) -> list[str]:

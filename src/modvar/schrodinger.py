@@ -1,7 +1,8 @@
 """Closed-form unitary evolution of Gaussian packets and their superposition,
 Bohmian kinematics, and modular-variable observables under uniform gravity.
 
-All evaluators are pure and accept numpy arrays for the position argument.
+All evaluators are pure and accept numpy arrays for the position argument;
+packet_state, the amplitudes and modular_expectation accept them for t too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .params import (
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
+    TimeSeries,
+    float_if_scalar,
 )
 
 
@@ -28,7 +31,8 @@ class DomainError(ValueError):
 @dataclass(frozen=True)
 class PacketStateS:
     """Time-evolved packet parameters: complex width s_t, real width sigma_t,
-    classical center x_t, momentum p_t and action action_t."""
+    classical center x_t, momentum p_t and action action_t; each is an
+    array shaped like t for an array of t."""
 
     s_t: complex
     sigma_t: float
@@ -53,11 +57,16 @@ class BohmianTrajectory:
         return self.samples[:, 1]
 
 
-def packet_state(p: GaussianPacket, c: PhysicalConstants, t: float) -> PacketStateS:
-    """Evolve one packet's parameters to time t."""
+def packet_state(p: GaussianPacket, c: PhysicalConstants, t) -> PacketStateS:
+    """Evolve one packet's parameters to time t (a scalar or an array)."""
     m, hbar, g = c.m, c.hbar, c.g
-    s_t = p.sigma0 * (1.0 + 1j * hbar * t / (2.0 * m * p.sigma0**2))
-    sigma_t = p.sigma0 * math.sqrt(1.0 + (hbar * t) ** 2 / (4.0 * m**2 * p.sigma0**4))
+    # divide in reals before forming the complex number: numpy and Python
+    # round a complex quotient differently, so s_t would depend on whether t
+    # is a scalar or an array
+    s_t = p.sigma0 * (1.0 + 1j * (hbar * t / (2.0 * m * p.sigma0**2)))
+    sigma_t = float_if_scalar(
+        p.sigma0 * np.sqrt(1.0 + (hbar * t) ** 2 / (4.0 * m**2 * p.sigma0**4))
+    )
     x_t = p.x0 + p.p0 * t / m - 0.5 * g * t * t
     p_t = p.p0 - m * g * t
     action_t = (p.p0**2 / (2.0 * m) - m * g * p.x0) * t - p.p0 * g * t * t \
@@ -95,8 +104,7 @@ def bohmian_velocity(p: GaussianPacket, c: PhysicalConstants, x, t: float):
     num = 8.0 * m * s0**4 * p.p0 \
         + (2.0 * hbar**2 * (x - p.x0) - 8.0 * m**2 * g * s0**4) * t \
         - g * hbar**2 * t**3
-    v = num / (8.0 * m**2 * s0**2 * sigma_t2)
-    return v if v.shape else float(v)
+    return float_if_scalar(num / (8.0 * m**2 * s0**2 * sigma_t2))
 
 
 def bohmian_trajectory(
@@ -104,10 +112,8 @@ def bohmian_trajectory(
 ) -> BohmianTrajectory:
     """Closed-form trajectory X(t) = x_t + (X0 - x0) sigma_t / sigma0."""
     ts = grid.times()
-    m, hbar, g = c.m, c.hbar, c.g
-    sigma_t = p.sigma0 * np.sqrt(1.0 + (hbar * ts) ** 2 / (4.0 * m**2 * p.sigma0**4))
-    x_t = p.x0 + p.p0 * ts / m - 0.5 * g * ts * ts
-    X = x_t + (X0 - p.x0) * sigma_t / p.sigma0
+    st = packet_state(p, c, ts)
+    X = st.x_t + (X0 - p.x0) * st.sigma_t / p.sigma0
     return BohmianTrajectory(X0=X0, samples=np.column_stack([ts, X]))
 
 
@@ -142,11 +148,12 @@ def superposed_density_and_current(spec: SuperpositionSpec, c: PhysicalConstants
     return rho, j
 
 
-def modular_expectation(spec: SuperpositionSpec, c: PhysicalConstants, t: float) -> float:
-    """<cos(p L / hbar)> of the superposition in the non-overlap regime."""
+def modular_expectation(spec: SuperpositionSpec, c: PhysicalConstants, t):
+    """<cos(p L / hbar)> of the superposition in the non-overlap regime, over
+    a scalar or an array of t."""
     s0 = spec.sigma0
     amp = 0.5 * math.exp(-0.5 * spec.k**2 * s0**2)
-    return amp * math.cos(spec.alpha - c.m * c.g * spec.L * t / c.hbar)
+    return float_if_scalar(amp * np.cos(spec.alpha - c.m * c.g * spec.L * t / c.hbar))
 
 
 def modular_period(spec: SuperpositionSpec, c: PhysicalConstants) -> float:
@@ -178,8 +185,7 @@ def local_modular_pointwise(spec: SuperpositionSpec, c: PhysicalConstants, x, t:
         )
     up = superposed_amplitude(spec, c, x_arr + spec.L, t)
     dn = superposed_amplitude(spec, c, x_arr - spec.L, t)
-    val = np.asarray(np.real((up + dn) / (2.0 * psi)))
-    return val if val.shape else float(val)
+    return float_if_scalar(np.real((up + dn) / (2.0 * psi)))
 
 
 def local_modular_on_trajectory(
@@ -195,8 +201,6 @@ def local_modular_on_trajectory(
     Returns a TimeSeries. X0 outside the left packet's effective support only
     warns: the closed form stays evaluable, it just loses its interpretation.
     """
-    from .params import TimeSeries
-
     pA = spec.packetA
     if abs(X0 - pA.x0) > support_factor * pA.sigma0:
         warnings.warn(
@@ -205,7 +209,7 @@ def local_modular_on_trajectory(
     ts = grid.times()
     m, hbar, g = c.m, c.hbar, c.g
     s0 = spec.sigma0
-    sigma_t = s0 * np.sqrt(1.0 + (hbar * ts) ** 2 / (4.0 * m**2 * s0**4))
+    sigma_t = packet_state(pA, c, ts).sigma_t
     k, L = spec.k, spec.L
     envelope = 0.5 * np.exp(
         (hbar * k * ts / (2.0 * m * sigma_t**2))

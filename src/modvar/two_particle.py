@@ -12,12 +12,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .params import (
     BathParams,
     GaussianPacket,
     ParameterError,
     PhysicalConstants,
     SuperpositionSpec,
+    float_if_scalar,
     scaled_time_tau,
 )
 
@@ -182,9 +185,10 @@ def modular_indistinguishable(
 
 
 def reduced_modular_components(
-    spec: SuperpositionSpec, b: BathParams, c: PhysicalConstants, t: float
+    spec: SuperpositionSpec, b: BathParams, c: PhysicalConstants, t
 ):
-    """(envelope, cosine argument) of the common-bath reduced modular signal.
+    """(envelope, cosine argument) of the common-bath reduced modular signal,
+    over a scalar or an array of t.
 
     A single bath coupled to both particles doubles the effective damping of
     the reduced single-particle coherence, giving e^{-4 gamma t} time
@@ -196,21 +200,23 @@ def reduced_modular_components(
     s0, L, k = spec.sigma0, spec.L, spec.k
     tau2 = scaled_time_tau(2.0 * gamma, t)  # (1 - e^{-4 gamma t})/(4 gamma)
     tau8 = scaled_time_tau(4.0 * gamma, t)  # (1 - e^{-8 gamma t})/(8 gamma)
-    envelope = 0.5 * math.exp(
+    # tau2 * tau2: a scalar t must round as an array of t does
+    envelope = 0.5 * np.exp(
         -D * L**2 * tau8 / hbar**2
-        - L**2 * gamma**2 * tau2**2 / s0**2
+        - L**2 * gamma**2 * (tau2 * tau2) / s0**2
         - 0.5 * k**2 * s0**2
     )
     phase = spec.alpha - L * tau2 * (k * gamma + m * g / hbar)
-    return envelope, phase
+    return float_if_scalar(envelope), phase
 
 
 def reduced_modular_common_bath(
-    spec: SuperpositionSpec, b: BathParams, c: PhysicalConstants, t: float
-) -> float:
-    """Modular signal of either particle when both couple to one bath."""
+    spec: SuperpositionSpec, b: BathParams, c: PhysicalConstants, t
+):
+    """Modular signal of either particle when both couple to one bath, over a
+    scalar or an array of t."""
     envelope, phase = reduced_modular_components(spec, b, c, t)
-    return envelope * math.cos(phase)
+    return float_if_scalar(envelope * np.cos(phase))
 
 
 def early_time_model(

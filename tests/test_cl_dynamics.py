@@ -13,6 +13,8 @@ from scipy.integrate import quad
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
 from modvar.caldeira_leggett import (
     CLDensityMatrix,
+    _eval_parts,
+    _term_parts,
     cl_bohmian_trajectory,
     cl_current,
     cl_density,
@@ -25,14 +27,24 @@ from modvar.caldeira_leggett import (
     local_translation,
     trace_check,
 )
-from modvar.params import BathParams, GaussianPacket, TimeGrid, make_superposition
+from modvar.config import FIGURE_DEFAULTS
+from modvar.params import (
+    BathParams,
+    GaussianPacket,
+    TimeGrid,
+    friction_drift,
+    make_superposition,
+    scaled_time_tau,
+)
 from modvar.schrodinger import (
+    DomainError,
     bohmian_trajectory,
     local_modular_on_trajectory,
     modular_expectation,
     packet_state,
     superposed_density_and_current,
 )
+from modvar.two_particle import reduced_modular_common_bath
 
 
 def test_packet_state_initial():
@@ -240,6 +252,59 @@ def test_local_modular_trajectory_frictionless():
     damp = cl_local_modular_on_trajectory(spec, make_bath(1e-10, 2.0), c, -25.0, grid)
     free = local_modular_on_trajectory(spec, c, -25.0, grid)
     assert np.max(np.abs(damp.values - free.values)) < 1e-6
+
+
+def test_local_modular_trajectory_matches_per_t_parts():
+    # one coefficient evaluation over the whole trajectory against one
+    # _term_parts call per sample, which rounds complex products in Python;
+    # the values reach 0.42, so 1e-15 allows a few units in the last place
+    spec, b, c = base_spec(math.pi / 4), make_bath(0.001, 2.0), base_constants()
+    grid = TimeGrid(0.0, 2.0, 201)
+    got = cl_local_modular_on_trajectory(spec, b, c, -27.0, grid).values
+    L = spec.L
+    want = []
+    for t, X in cl_bohmian_trajectory(spec.packetA, b, c, -27.0, grid).samples:
+        parts = _term_parts(spec, b, c, float(t))
+        up, dn = _eval_parts(parts, L, X + L / 2.0), _eval_parts(parts, -L, X - L / 2.0)
+        want.append(np.real((up + dn) / (2.0 * _eval_parts(parts, 0.0, X))))
+    assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def test_local_modular_trajectory_underflow_is_a_domain_error():
+    # X0 = -65 starts 40 widths left of the packet at fig2's parameters,
+    # where rho(X, X, 0) underflows
+    cfg = FIGURE_DEFAULTS["fig2"]
+    grid = TimeGrid(cfg.t_start, cfg.tmax, cfg.samples)
+    with pytest.warns(UserWarning, match="outside"), \
+            pytest.raises(DomainError, match="underflows at t = 0$"):
+        cl_local_modular_on_trajectory(
+            cfg.superposition(cfg.alphas[0]), cfg.bath(), cfg.constants(), -65.0, grid
+        )
+
+
+_VECTORIZED = {
+    "scaled_time_tau": scaled_time_tau,
+    "friction_drift": friction_drift,
+    "cl_modular_closed": lambda gamma, t: cl_modular_closed(
+        base_spec(0.3), make_bath(gamma, 0.005), base_constants(), t
+    ),
+    "reduced_modular_common_bath": lambda gamma, t: reduced_modular_common_bath(
+        base_spec(0.3), make_bath(gamma, 0.005), base_constants(), t
+    ),
+    "modular_expectation": lambda gamma, t: modular_expectation(base_spec(0.3), base_constants(), t),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-4, 0.1])
+@pytest.mark.parametrize("name", sorted(_VECTORIZED))
+def test_array_t_equals_scalar_calls(name, gamma):
+    # an array of t rounds every sample exactly as a scalar call does; at
+    # gamma = 1e-4 the scaled times switch from series to closed form at t = 1
+    f = _VECTORIZED[name]
+    ts = np.linspace(0.0, 3.0, 301)
+    scalars = [f(gamma, float(t)) for t in ts]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_array_equal(f(gamma, ts), scalars)
 
 
 def test_local_values_integrate_to_expectation():

@@ -44,6 +44,23 @@ def test_window_dissipative_flags():
     )
 
 
+@pytest.mark.parametrize(
+    "argv", [("window", "--framework", "cl"), ("figure", "fig3"), ("figure", "fig2")]
+)
+def test_regime_warning_on_stderr(argv, tmp_path):
+    # kB*T = 2 is below 10 hbar*gamma = 5: the CL bath's warning goes to
+    # stderr and the run still succeeds; the default gamma warns of nothing
+    res = run_cli(*argv, "--gamma", "0.5", "--temperature", "2", "--out", str(tmp_path))
+    assert res.returncode == 0
+    assert res.stdout.startswith("t_max = " if argv[0] == "window" else str(tmp_path))
+    assert res.stderr.splitlines() == [
+        "warning: kB*T = 2 is not large against hbar*gamma = 0.5 (need a factor >= 10); "
+        "dissipative results may be outside the model's validity range"
+    ]
+    quiet = run_cli(*argv, "--temperature", "2", "--out", str(tmp_path))
+    assert quiet.returncode == 0 and quiet.stderr == ""
+
+
 def test_window_needs_single_framework():
     # default framework is "both", which the solver cannot use
     res = run_cli("window")
