@@ -182,27 +182,25 @@ def _eval_parts_dr(parts, r, R):
 class CLDensityMatrix:
     """Evaluator of the analytic density matrix over (r, R, t)."""
 
-    def __init__(self, spec, bath, constants, h_coeff=None):
+    def __init__(self, spec, bath, constants):
         self.spec = spec
         self.bath = bath
         self.constants = constants
-        self.h_coeff = h_coeff
         self._cache_t = None
         self._cache_parts = None
 
     def _parts(self, t):
+        # the coefficients of the last scalar t are kept; an array of t
+        # broadcasts against r and R and is not cached
+        if np.ndim(t):
+            return _term_parts(self.spec, self.bath, self.constants, t)
         if self._cache_t != t:
-            self._cache_parts = _term_parts(
-                self.spec, self.bath, self.constants, t, self.h_coeff
-            )
+            self._cache_parts = _term_parts(self.spec, self.bath, self.constants, t)
             self._cache_t = t
         return self._cache_parts
 
     def __call__(self, r, R, t):
         return _eval_parts(self._parts(t), r, R)
-
-    def d_dr(self, r, R, t):
-        return _eval_parts_dr(self._parts(t), r, R)
 
 
 def density_matrix_rR(
@@ -212,11 +210,9 @@ def density_matrix_rR(
     r,
     R,
     t: float,
-    h_coeff: float | None = None,
 ):
     """rho(r, R, t) = (1/2)[rho1 + rho2 + e^{i alpha} rho3 + e^{-i alpha} rho4]."""
-    parts = _term_parts(spec, b, c, t, h_coeff)
-    return _eval_parts(parts, r, R)
+    return _eval_parts(_term_parts(spec, b, c, t), r, R)
 
 
 def cl_density(spec, b, c, x, t: float):
@@ -449,18 +445,15 @@ def _gl_integral_abs(parts, rect, n):
     return float(r_wts @ vals @ R_wts)
 
 
-def l1_coherence(spec, b, c, t: float, bounds=None):
+def l1_coherence(spec, b, c, t: float):
     """Position-basis l1 coherence: the double integral of |rho(r, R, t)|.
 
     Integrates over the union of the four terms' effective-support
-    rectangles (or explicit bounds (r_lo, r_hi, R_lo, R_hi)) with composite
-    Gauss-Legendre rules; returns (value, error_estimate).
+    rectangles with composite Gauss-Legendre rules; returns
+    (value, error_estimate).
     """
     parts = _term_parts(spec, b, c, t)
-    if bounds is not None:
-        rects = [list(bounds)]
-    else:
-        rects = _merge_rects(_blob_rectangles(parts, spec.L))
+    rects = _merge_rects(_blob_rectangles(parts, spec.L))
     coarse = sum(_gl_integral_abs(parts, rect, 18) for rect in rects)
     fine = sum(_gl_integral_abs(parts, rect, 26) for rect in rects)
     err = abs(fine - coarse)

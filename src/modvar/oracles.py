@@ -10,6 +10,7 @@ integrate, differentiate, or propagate from more primitive definitions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -86,12 +87,11 @@ class CLSource:
     spec: SuperpositionSpec
     bath: BathParams
     c: PhysicalConstants
-    h_coeff: float | None = None
 
     def line(self, r, t, d_dr=False):
         """Integrand R -> rho(r, R, t) of chi(r, t) (its r-derivative when
         d_dr), with the term peaks and width that place the quadrature."""
-        parts = _term_parts(self.spec, self.bath, self.c, t, self.h_coeff)
+        parts = _term_parts(self.spec, self.bath, self.c, t)
         evaluate = _eval_parts_dr if d_dr else _eval_parts
         peaks = [beta.imag for (_, _, beta) in parts[3]]
         return (lambda R: evaluate(parts, r, R)), peaks, parts[0]
@@ -125,9 +125,10 @@ def characteristic_modular(source: Source, t: float, ell: float) -> complex:
     return val
 
 
-def modular_via_momentum_grid(spec, c, t: float, ell: float, n: int = 2**14) -> complex:
+def modular_via_momentum_grid(spec, c, t: float, ell: float) -> complex:
     """Cross-check route: discrete-Fourier momentum distribution of the pure
-    state, then <e^{i p ell / hbar}> as a momentum-space sum."""
+    state on 2^14 points, then <e^{i p ell / hbar}> as a momentum-space sum."""
+    n = 2**14
     src = SchrodingerSource(spec, c)
     centers, width = src.centers_width(t)
     # box span must exceed twice the translation length: the p-density of a
@@ -225,62 +226,63 @@ def heisenberg_rhs_check(
 
 
 def _sample_supports(framework, spec, b, c, n, t_max=2.0, seed=7):
-    """Deterministic sample points inside the evolving packet supports."""
+    """Deterministic sample points inside the evolving packet supports, as
+    arrays: (x, t) for "schrodinger" and (r, R, t) for "cl"."""
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        t = rng.uniform(0.05, t_max)
-        packet = spec.packetA if rng.uniform() < 0.5 else spec.packetB
-        if framework == "schrodinger":
-            st = packet_state(packet, c, t)
-            x = st.x_t + rng.uniform(-2.0, 2.0) * st.sigma_t
-            pts.append((x, t))
-        else:
-            x_t, w, _ = _center_width(packet, b.gamma, b.D, c, t)
-            R = float(x_t) + rng.uniform(-2.0, 2.0) * float(w)
-            r = rng.uniform(-3.0, 3.0) * spec.sigma0
-            pts.append((r, R, t))
-    return pts
+    # one row of draws per point: t, packet choice, R (or x) offset, r
+    u = rng.random((n, 3 if framework == "schrodinger" else 4))
+    t = 0.05 + (t_max - 0.05) * u[:, 0]
+    in_a = u[:, 1] < 0.5
+    offset = -2.0 + 4.0 * u[:, 2]
+    if framework == "schrodinger":
+        st_a, st_b = (packet_state(p, c, t) for p in (spec.packetA, spec.packetB))
+        x_t = np.where(in_a, st_a.x_t, st_b.x_t)
+        return x_t + offset * np.where(in_a, st_a.sigma_t, st_b.sigma_t), t
+    (x_a, w_a, _), (x_b, w_b, _) = (
+        _center_width(p, b.gamma, b.D, c, t) for p in (spec.packetA, spec.packetB)
+    )
+    R = np.where(in_a, x_a, x_b) + offset * np.where(in_a, w_a, w_b)
+    r = (-3.0 + 6.0 * u[:, 3]) * spec.sigma0
+    return r, R, t
 
 
-def _schrodinger_residual_at(spec, c, x, t, h, field=None):
-    psi = field if field is not None else (lambda xx, tt: superposed_amplitude(spec, c, xx, tt))
+def _schrodinger_terms(spec, c, x, t, h):
+    """Terms of i hbar psi_t + hbar^2/(2m) psi_xx - m g x psi at the points
+    (x, t), by central differences of step h."""
+    def psi(xx, tt):
+        return superposed_amplitude(spec, c, xx, tt)
+
     # phase rotates at rate ~ m|g x|/hbar, much faster than the spatial
     # scales; the time stencil needs a finer step than the space stencil
     ht = 0.1 * h
     p_t = (psi(x, t + ht) - psi(x, t - ht)) / (2.0 * ht)
-    p_xx = (psi(x + h, t) - 2.0 * psi(x, t) + psi(x - h, t)) / (h * h)
-    t1 = 1j * c.hbar * p_t
-    t2 = c.hbar**2 * p_xx / (2.0 * c.m)
-    t3 = -c.m * c.g * x * psi(x, t)
-    resid = t1 + t2 + t3
-    return abs(resid), max(abs(t1), abs(t2), abs(t3), 1e-30)
+    val = psi(x, t)
+    p_xx = (psi(x + h, t) - 2.0 * val + psi(x - h, t)) / (h * h)
+    return 1j * c.hbar * p_t, c.hbar**2 * p_xx / (2.0 * c.m), -c.m * c.g * x * val
 
 
-def _cl_residual_at(spec, b, c, r, R, t, h, h_coeff=None, field=None):
-    if field is not None:
-        rho = field
-    else:
-        def rho(rr, RR, tt):
-            return complex(
-                _eval_parts(_term_parts(spec, b, c, tt, h_coeff), rr, np.asarray(RR))
-            )
-    r_t = (rho(r, R, t + h) - rho(r, R, t - h)) / (2.0 * h)
-    r_r = (rho(r + h, R, t) - rho(r - h, R, t)) / (2.0 * h)
+def _cl_terms(spec, b, c, r, R, t, h, h_coeff):
+    """Terms of the CL master equation at the points (r, R, t), by central
+    differences of step h on the solution built with h_coeff."""
+    parts = _term_parts(spec, b, c, t, h_coeff)
+    rho = functools.partial(_eval_parts, parts)
+
+    r_t = (
+        _eval_parts(_term_parts(spec, b, c, t + h, h_coeff), r, R)
+        - _eval_parts(_term_parts(spec, b, c, t - h, h_coeff), r, R)
+    ) / (2.0 * h)
+    r_r = (rho(r + h, R) - rho(r - h, R)) / (2.0 * h)
     r_rR = (
-        rho(r + h, R + h, t)
-        - rho(r + h, R - h, t)
-        - rho(r - h, R + h, t)
-        + rho(r - h, R - h, t)
+        rho(r + h, R + h) - rho(r + h, R - h) - rho(r - h, R + h) + rho(r - h, R - h)
     ) / (4.0 * h * h)
-    val = rho(r, R, t)
-    t1 = r_t
-    t2 = -(1j * c.hbar / c.m) * r_rR
-    t3 = 2.0 * b.gamma * r * r_r
-    t4 = (b.D / c.hbar**2) * r * r * val
-    t5 = -(c.m * c.g / (1j * c.hbar)) * r * val
-    resid = t1 + t2 + t3 + t4 + t5
-    return abs(resid), max(abs(t1), abs(t2), abs(t3), abs(t4), abs(t5), 1e-30)
+    val = rho(r, R)
+    return (
+        r_t,
+        -(1j * c.hbar / c.m) * r_rR,
+        2.0 * b.gamma * r * r_r,
+        (b.D / c.hbar**2) * r * r * val,
+        -(c.m * c.g / (1j * c.hbar)) * r * val,
+    )
 
 
 def pde_residual(
@@ -288,40 +290,34 @@ def pde_residual(
     spec: SuperpositionSpec,
     b: BathParams,
     c: PhysicalConstants,
-    points=None,
     h_coeff: float | None = None,
-    step: float = 1e-4,
-    field=None,
 ) -> ResidualReport:
     """Finite-difference residual of the governing equation on the analytic
-    solution (or on an explicit `field` callable).
+    solution, at 40 seeded points inside the packet supports.
 
     framework "schrodinger": i hbar psi_t + hbar^2/(2m) psi_xx - m g x psi.
     framework "cl": rho_t - (i hbar/m) rho_rR + 2 gamma r rho_r
                     + (D/hbar^2) r^2 rho - (m g/(i hbar)) r rho.
     Reports the worst relative residual and the step-halving convergence
-    ratio of the residual maxima.
+    ratio of the residual maxima.  h_coeff (cl only) evaluates the solution
+    with one coefficient's hbar replaced, to show the check can fail.
     """
     if framework not in ("schrodinger", "cl"):
         raise ParameterError("framework must be 'schrodinger' or 'cl'")
-    if points is None:
-        points = _sample_supports(framework, spec, b, c, 40)
+    points = _sample_supports(framework, spec, b, c, 40)
 
-    def max_resid(h):
-        worst_abs, worst_rel = 0.0, 0.0
-        for pt in points:
-            if framework == "schrodinger":
-                absr, scale = _schrodinger_residual_at(spec, c, pt[0], pt[1], h, field)
-            else:
-                absr, scale = _cl_residual_at(
-                    spec, b, c, pt[0], pt[1], pt[2], h, h_coeff, field
-                )
-            worst_abs = max(worst_abs, absr)
-            worst_rel = max(worst_rel, absr / scale)
-        return worst_abs, worst_rel
+    def worst(h):
+        if framework == "schrodinger":
+            terms = _schrodinger_terms(spec, c, *points, h)
+        else:
+            terms = _cl_terms(spec, b, c, *points, h, h_coeff)
+        resid = np.abs(sum(terms))
+        scale = np.maximum(np.abs(terms).max(axis=0), 1e-30)
+        return float(resid.max()), float((resid / scale).max())
 
-    abs_h, rel_h = max_resid(step)
-    abs_2h, rel_2h = max_resid(2.0 * step)
+    step = 1e-4
+    abs_h, rel_h = worst(step)
+    abs_2h, _ = worst(2.0 * step)
     ratio = abs_2h / abs_h if abs_h > 0 else float("inf")
     return ResidualReport(
         max_abs_residual=abs_h,

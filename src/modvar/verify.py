@@ -343,11 +343,10 @@ def gate_continuum_limit():
     # plateaus at the unitary signal size and the halving ratio collapses
     rate = 2.0 * gammas[0] * _C.kB * 2.0 * spec.L**2 / _C.hbar**2
     ts = np.linspace(0.0, 0.25 / rate, 16)
-    sch = np.array([modular_expectation(spec, _C, float(t)) for t in ts])
+    sch = modular_expectation(spec, _C, ts)
     errs = []
     for gamma in gammas:
-        bath = BathParams(gamma=gamma, T=2.0)
-        cl = np.array([cl_modular_closed(spec, bath, _C, float(t)) for t in ts])
+        cl = cl_modular_closed(spec, BathParams(gamma=gamma, T=2.0), _C, ts)
         errs.append(float(np.max(np.abs(cl - sch))))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     return {"ratio 1": r1, "ratio 2": r2}, abs(r1 - 2.0) <= 0.2 and abs(r2 - 2.0) <= 0.2
@@ -496,13 +495,12 @@ def format_result(r: GateResult) -> str:
     )
 
 
-def run_suite(suite: str = "fast", stream=None) -> int:
-    """Run the requested criteria; report one line per criterion to `stream`
-    (stderr by default) and return a process exit code."""
-    stream = stream if stream is not None else sys.stderr
+def run_suite(suite: str = "fast") -> int:
+    """Run the requested criteria; report one line per criterion to stderr
+    and return a process exit code."""
     results = [check() for check in SUITES[suite]]
     for r in results:
-        stream.write(format_result(r) + "\n")
+        sys.stderr.write(format_result(r) + "\n")
     passed = sum(r.passed for r in results)
-    stream.write("%d/%d gates passed (%s suite)\n" % (passed, len(results), suite))
+    sys.stderr.write("%d/%d gates passed (%s suite)\n" % (passed, len(results), suite))
     return 0 if passed == len(results) else 1

@@ -21,7 +21,6 @@ from .params import (
     ParameterError,
     PhysicalConstants,
     SuperpositionSpec,
-    scaled_time_tau,
 )
 from .schrodinger import DomainError, packet_state
 from .caldeira_leggett import _center_width
@@ -61,8 +60,8 @@ def overlap_window(
     else:
         gamma_eff = b.gamma * rate_multiplier
         def gap(t):
-            _, w, _ = _center_width(spec.packetA, gamma_eff, b.D, c, t)
-            return -spec.L - hk_over_m * scaled_time_tau(gamma_eff, t) + 2.0 * s * float(w)
+            _, w, tau = _center_width(spec.packetA, gamma_eff, b.D, c, t)
+            return -spec.L - hk_over_m * tau + 2.0 * s * float(w)
         crit = "-L - (hbar k/m) tau(t) + 2*%g*w_t = 0 (cl, gamma=%g, D=%g)" % (
             s, gamma_eff, b.D,
         )

@@ -131,6 +131,19 @@ def test_matrix_is_hermitian(r, R, t, alpha):
     assert abs(a - b.conjugate()) / scale < 1e-10
 
 
+def test_density_matrix_evaluator_takes_array_t():
+    # an array of t broadcasts against r and R exactly as in density_matrix_rR,
+    # and leaves the evaluator's scalar-t cache usable afterwards
+    spec, b, c = base_spec(math.pi / 4), make_bath(0.001, 2.0), base_constants()
+    rho = CLDensityMatrix(spec, b, c)
+    r = np.array([-2.0, 0.0, 0.5, 50.0])
+    R = np.array([-25.0, -24.0, 0.0, 25.0])
+    t = np.array([[0.5], [1.0]])
+    np.testing.assert_array_equal(rho(r, R, t), density_matrix_rR(spec, b, c, r, R, t))
+    for t in (0.7, 0.7, 1.3):
+        assert rho(0.5, -24.0, t) == density_matrix_rR(spec, b, c, 0.5, -24.0, t)
+
+
 def test_diagonal_nonnegative():
     spec = base_spec(alpha=math.pi / 2)
     b = make_bath(0.001, 2.0)
