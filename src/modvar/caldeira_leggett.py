@@ -112,14 +112,18 @@ def _term_parts(spec, b, c, t, h_coeff=None):
 
     Returns (w, quad, slope, [(A_j, lin_j, beta_j)]_j, weights) where
     a_j(r) = A_j + lin_j r + quad r^2 and b_j(r) = beta_j + slope r.  The
-    time-dependent parts have the shape of t, so an array of t broadcasts
-    against r and R in _eval_parts.
+    time-dependent parts have the shape of t, so an array (or nested list)
+    of t broadcasts against r and R in _eval_parts.
     """
     m, hbar, g = c.m, c.hbar, c.g
     gamma, D = b.gamma, b.D
     s0 = spec.sigma0
     L, k = spec.L, spec.k
     h = c.hbar if h_coeff is None else h_coeff
+    # a list of t becomes an array; a scalar t stays a Python float, whose
+    # arithmetic the quadrature oracles and goldens were computed with
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
 
     _, w, tau = _center_width(spec.packetA, gamma, D, c, t)
     tau4 = scaled_time_tau(2.0 * gamma, t)  # (1 - e^{-4 gamma t}) / (4 gamma)
@@ -399,21 +403,22 @@ def trace_check(spec, b, c, t: float) -> float:
     return cl_modular_quadrature(spec, b, c, t, 0.0)
 
 
-def _blob_rectangles(parts, L):
-    """Effective-support rectangles of the four terms in the (r, R) plane."""
+def _blob_rectangles(parts):
+    """Effective-support rectangles of the four terms in the (r, R) plane,
+    and the width s_r in r that they share."""
     w, quad, slope, terms, _ = parts
+    # |rho_j| ~ exp[Re a + (Re b)^2/(2 w^2)] = exp[Q r^2 + ...]: the same Q for every term
+    Q = quad + slope * slope / (2.0 * w * w)
+    s_r = 1.0 / math.sqrt(2.0 * abs(Q))
     rects = []
     for (A, lin, beta) in terms:
-        # |rho_j| ~ exp[Re a + (Re b)^2/(2 w^2)]: quadratic in r
-        Q = quad + slope * slope / (2.0 * w * w)
         lin_eff = lin.real + beta.real * slope / (w * w)
         r_star = -lin_eff / (2.0 * Q)
-        s_r = 1.0 / math.sqrt(2.0 * abs(Q))
         rects.append(
             [r_star - 12.0 * s_r, r_star + 12.0 * s_r,
              beta.imag - 12.0 * w, beta.imag + 12.0 * w]
         )
-    return rects
+    return rects, s_r
 
 
 def _merge_rects(rects):
@@ -435,14 +440,49 @@ def _merge_rects(rects):
     return merged
 
 
-def _gl_integral_abs(parts, rect, n):
-    w, quad, slope, _, _ = parts
-    s_r = 1.0 / math.sqrt(2.0 * abs(quad + slope * slope / (2.0 * w * w)))
+def _abs_on_grid(parts, r, R):
+    """|rho(r_i, R_k)| on the tensor grid of the 1-D arrays r and R.
+
+    Each term's exponent a_j(r) - (R + i b_j(r))^2/(2 w^2) splits into a part
+    in r, a part in R and the cross term -i slope r R / w^2.  slope and w are
+    real, so the cross term is one unit-modulus factor shared by all four
+    terms and drops out of the modulus:
+
+        |rho| = |sum_j F_j(r) G_j(R)| / (sqrt(2 pi) w),
+
+    the modulus of an (n_r x 4) @ (4 x n_R) product, with
+
+        F_j(r) = wt_j exp[a_j(r) + (Re b_j(r))^2/(2 w^2) + i slope Im(beta_j) r / w^2],
+        G_j(R) = exp[-(R - Im beta_j)^2/(2 w^2) - i Re(beta_j) (R - Im beta_j) / w^2].
+
+    |F_j(r)| is the peak of |rho_j| along the line r (times sqrt(2 pi) w) and
+    |G_j| <= 1, so neither factor overflows where rho does not.  Factors
+    below 2^-511 are set to zero: that changes |rho| by less than 2^-500 of
+    its peak, and a product of two such factors would be subnormal, which the
+    matrix product computes on the processor's slow path.
+    """
+    w, quad, slope, terms, weights = parts
+    F = np.empty((len(r), len(terms)), dtype=complex)
+    G = np.empty((len(terms), len(R)), dtype=complex)
+    for j, ((A, lin, beta), wt) in enumerate(zip(terms, weights)):
+        re_b = beta.real + slope * r
+        F[:, j] = wt * np.exp(
+            A + lin * r + quad * r * r + re_b * re_b / (2.0 * w * w)
+            + 1j * (slope * beta.imag / (w * w)) * r
+        )
+        dR = R - beta.imag
+        G[j] = np.exp(-dR * dR / (2.0 * w * w) - 1j * (beta.real / (w * w)) * dR)
+    F[np.abs(F) < 2.0**-511] = 0.0
+    G[np.abs(G) < 2.0**-511] = 0.0
+    return np.abs(F @ G) / (math.sqrt(2.0 * math.pi) * w)
+
+
+def _gl_integral_abs(parts, rect, s_r, n):
+    w = parts[0]
     lo_r, hi_r, lo_R, hi_R = rect
     r, r_wts = _panel_nodes((lo_r, hi_r), s_r, n)
     R, R_wts = _panel_nodes((lo_R, hi_R), w, n)
-    vals = np.abs(_eval_parts(parts, r[:, None], R[None, :]))
-    return float(r_wts @ vals @ R_wts)
+    return float(r_wts @ _abs_on_grid(parts, r, R) @ R_wts)
 
 
 def l1_coherence(spec, b, c, t: float):
@@ -453,9 +493,10 @@ def l1_coherence(spec, b, c, t: float):
     (value, error_estimate).
     """
     parts = _term_parts(spec, b, c, t)
-    rects = _merge_rects(_blob_rectangles(parts, spec.L))
-    coarse = sum(_gl_integral_abs(parts, rect, 18) for rect in rects)
-    fine = sum(_gl_integral_abs(parts, rect, 26) for rect in rects)
+    rects, s_r = _blob_rectangles(parts)
+    rects = _merge_rects(rects)
+    coarse = sum(_gl_integral_abs(parts, rect, s_r, 18) for rect in rects)
+    fine = sum(_gl_integral_abs(parts, rect, s_r, 26) for rect in rects)
     err = abs(fine - coarse)
     if err > 1e-6 * max(1.0, abs(fine)):
         raise QuadratureError("l1 coherence quadrature did not settle: diff %.3g" % err)

@@ -13,6 +13,8 @@ from scipy.integrate import quad
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
 from modvar.caldeira_leggett import (
     CLDensityMatrix,
+    _abs_on_grid,
+    _blob_rectangles,
     _eval_parts,
     _term_parts,
     cl_bohmian_trajectory,
@@ -142,6 +144,17 @@ def test_density_matrix_evaluator_takes_array_t():
     np.testing.assert_array_equal(rho(r, R, t), density_matrix_rR(spec, b, c, r, R, t))
     for t in (0.7, 0.7, 1.3):
         assert rho(0.5, -24.0, t) == density_matrix_rR(spec, b, c, 0.5, -24.0, t)
+
+
+def test_density_matrix_takes_list_t():
+    # a nested list of t gives the bits of the same ndarray
+    spec, b, c = base_spec(math.pi / 4), make_bath(0.001, 2.0), base_constants()
+    r = np.array([-2.0, 0.0, 0.5, 50.0])
+    R = np.array([-25.0, -24.0, 0.0, 25.0])
+    t = [[0.0], [0.5], [1.0]]
+    got = density_matrix_rR(spec, b, c, r, R, t)
+    assert got.shape == (3, 4)
+    np.testing.assert_array_equal(got, density_matrix_rR(spec, b, c, r, R, np.array(t)))
 
 
 def test_diagonal_nonnegative():
@@ -353,9 +366,39 @@ def test_l1_coherence_records(goldens):
         assert abs(got - ref) < tol + err
 
 
+@pytest.mark.parametrize(
+    "L, alpha, gamma, T, t",
+    [
+        (50.0, math.pi / 4, 0.001, 2.0, 0.0),
+        (50.0, math.pi / 4, 0.001, 2.0, 1.0),
+        (50.0, math.pi / 4, 0.001, 2.0, 2.0),
+        (50.0, 0.0, 0.005, 15.0, 2.0),
+        (50.0, math.pi / 2, 0.1, 10.0, 1.0),
+        (400.0, 0.7, 0.001, 2.0, 5.0),
+    ],
+)
+def test_abs_on_grid_matches_direct_evaluation(L, alpha, gamma, T, t):
+    # the rank-4 product against |rho| evaluated term by term on the
+    # bounding box of the support rectangles; overflow, division by zero and
+    # invalid values raise, so a factor that carries a line peak it should
+    # not fails here.  Far tails underflow to zero in both routes, which is
+    # their correct value, so underflow alone is let through.
+    spec = make_superposition(L=L, sigma0=BASE["sigma0"], k=BASE["k"], alpha=alpha)
+    parts = _term_parts(spec, make_bath(gamma, T), base_constants(), t)
+    rects = np.array(_blob_rectangles(parts)[0])
+    r = np.linspace(rects[:, 0].min(), rects[:, 1].max(), 301)
+    R = np.linspace(rects[:, 2].min(), rects[:, 3].max(), 203)
+    with np.errstate(all="raise", under="ignore"):
+        got = _abs_on_grid(parts, r, R)
+        want = np.abs(_eval_parts(parts, r[:, None], R[None, :]))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
 def test_l1_coherence_alpha_blind():
-    b = make_bath(0.001, 2.0)
     c = base_constants()
-    v0, e0 = l1_coherence(base_spec(0.0), b, c, 1.0)
-    v1, e1 = l1_coherence(base_spec(math.pi / 2), b, c, 1.0)
-    assert abs(v0 - v1) < 1e-8 * abs(v0) + e0 + e1
+    for gamma, T, t in ((0.001, 2.0, 1.0), (0.001, 2.0, 0.0), (0.001, 2.0, 2.0),
+                        (0.005, 15.0, 2.0), (0.1, 10.0, 1.0)):
+        b = make_bath(gamma, T)
+        v0, e0 = l1_coherence(base_spec(0.0), b, c, t)
+        v1, e1 = l1_coherence(base_spec(math.pi / 2), b, c, t)
+        assert abs(v0 - v1) < 1e-8 * abs(v0) + e0 + e1
