@@ -45,13 +45,13 @@ def _check_columns(filename: str, colnames: list, columns: list) -> None:
 
 
 def _write_csv(path: str, cfg: RunConfig, extra_header: list, colnames: list, columns: list) -> str:
-    rows = len(columns[0])
     lines = []
     lines.extend(cfg.header_lines())
     lines.extend("# %s" % text for text in extra_header)
     lines.append("# columns: %s" % ",".join(colnames))
-    for i in range(rows):
-        lines.append(",".join("%.15g" % col[i] for col in columns))
+    # _check_columns has made every column the same length, so zip drops no row
+    row = ",".join(["%.15g"] * len(columns))
+    lines.extend(row % cells for cells in zip(*(np.asarray(col).tolist() for col in columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

@@ -484,7 +484,7 @@ def gate_figure_regression():
     return {"files": files, "differing": differing}, differing == 0
 
 
-# the fast suite leaves out the two slowest checks, c13 and c14
+# the fast suite leaves out c13 (spectral propagation) and c14 (figure regression)
 SUITES = {"fast": CRITERIA[:12], "full": CRITERIA}
 
 

@@ -11,11 +11,13 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modvar import cli
+from modvar import cli, figures
+from modvar.config import FIGURE_DEFAULTS
 
 
 def run_cli(*argv, cwd=None):
@@ -194,6 +196,20 @@ def test_figure_deterministic_bytes(tmp_path):
         b2 = (out2 / name).read_bytes()
         assert b1 == b2
         assert b"\r" not in b1
+
+
+def test_csv_writer_prints_each_cell_with_percent_15g(tmp_path):
+    # the writer formats whole rows at once; each cell must read as
+    # "%.15g" % col[i] would, for an array column and a list column alike
+    values = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0]
+    cols = [np.array(values), values[::-1]]
+    path = figures._write_csv(
+        str(tmp_path / "t.csv"), FIGURE_DEFAULTS["fig1"], ["note"], ["a", "b"], cols
+    )
+    with open(path, encoding="utf-8") as fh:
+        body = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    assert body == [",".join("%.15g" % col[i] for col in cols) for i in range(len(values))]
+    assert body[0] == "-0,3"
 
 
 def test_figure_header_round_trips_as_config(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
+from modvar import oracles
 from modvar.caldeira_leggett import (
     cl_bohmian_trajectory,
     cl_current,
@@ -38,6 +39,7 @@ from modvar.params import (
     scaled_time_tau,
 )
 from modvar.schrodinger import (
+    DomainError,
     bohmian_trajectory,
     bohmian_velocity,
     modular_expectation,
@@ -248,6 +250,41 @@ def test_spectral_propagation_matches_closed():
     assert l2_error(prop.x, prop.psi, closed) < 1e-6
     assert prop.norm_drift < 1e-10
     assert prop.boundary_peak < 1e-12
+
+
+def _strang_step_loop(spec, c, grid):
+    """Reference for grid_propagator: n_steps literal Strang steps (half
+    kick, free step on the discrete Fourier grid, half kick) on the
+    propagator's own lattice, two FFTs per step."""
+    lo, hi = oracles._propagation_box(spec, c, grid.t_final)
+    x = np.linspace(lo, hi, grid.n_points, endpoint=False)
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=x[1] - x[0])
+    dt = grid.t_final / grid.n_steps
+    half_v = np.exp(-1j * c.m * c.g * x * dt / (2.0 * c.hbar))
+    kin = np.exp(-1j * c.hbar * kx**2 * dt / (2.0 * c.m))
+    psi = superposed_amplitude(spec, c, x, 0.0)
+    for _ in range(grid.n_steps):
+        psi = half_v * np.fft.ifft(kin * np.fft.fft(half_v * psi))
+    return x, psi
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1024, 0.5, 400), GridSpec(512, 1.0, 300)])
+@pytest.mark.parametrize("alpha", [0.0, math.pi / 4])
+def test_grid_propagator_matches_step_loop(grid, alpha):
+    # the reassociated product is the step loop's operator, not the closed
+    # form: the two agree to rounding, far inside the splitting defect
+    c = base_constants()
+    spec = base_spec(alpha)
+    prop = grid_propagator(spec, c, grid)
+    x, ref = _strang_step_loop(spec, c, grid)
+    assert np.array_equal(prop.x, x)
+    assert l2_error(x, prop.psi, ref) < 1e-12
+
+
+def test_grid_propagator_rejects_mass_at_the_box_edge(monkeypatch):
+    monkeypatch.setattr(oracles, "_propagation_box", lambda spec, c, t_final: (-30.0, 30.0))
+    with pytest.raises(DomainError, match="enlarge the box"):
+        grid_propagator(base_spec(math.pi / 4), base_constants(), GridSpec(1024, 0.5, 400))
 
 
 def test_l2_error_basics():
