@@ -36,7 +36,6 @@ from .schrodinger import (
     superposition_norm,
 )
 from .caldeira_leggett import (
-    CLDensityMatrix,
     PacketStateCL,
     QuadratureError,
     cl_bohmian_trajectory,
@@ -66,7 +65,6 @@ from .two_particle import (
     translated_matrix_element,
 )
 from .oracles import (
-    CharacteristicFunction,
     CLSource,
     GridPropagation,
     GridSpec,

@@ -120,10 +120,7 @@ def _term_parts(spec, b, c, t, h_coeff=None):
     s0 = spec.sigma0
     L, k = spec.L, spec.k
     h = c.hbar if h_coeff is None else h_coeff
-    # a list of t becomes an array; a scalar t stays a Python float, whose
-    # arithmetic the quadrature oracles and goldens were computed with
-    if np.ndim(t):
-        t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
 
     _, w, tau = _center_width(spec.packetA, gamma, D, c, t)
     tau4 = scaled_time_tau(2.0 * gamma, t)  # (1 - e^{-4 gamma t}) / (4 gamma)
@@ -181,30 +178,6 @@ def _eval_parts_dr(parts, r, R):
         dlog = lin + 2.0 * quad * r - 1j * slope * (R + 1j * bb) / (w * w)
         total = total + wt * term * dlog
     return pref * total
-
-
-class CLDensityMatrix:
-    """Evaluator of the analytic density matrix over (r, R, t)."""
-
-    def __init__(self, spec, bath, constants):
-        self.spec = spec
-        self.bath = bath
-        self.constants = constants
-        self._cache_t = None
-        self._cache_parts = None
-
-    def _parts(self, t):
-        # the coefficients of the last scalar t are kept; an array of t
-        # broadcasts against r and R and is not cached
-        if np.ndim(t):
-            return _term_parts(self.spec, self.bath, self.constants, t)
-        if self._cache_t != t:
-            self._cache_parts = _term_parts(self.spec, self.bath, self.constants, t)
-            self._cache_t = t
-        return self._cache_parts
-
-    def __call__(self, r, R, t):
-        return _eval_parts(self._parts(t), r, R)
 
 
 def density_matrix_rR(

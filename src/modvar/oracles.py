@@ -58,12 +58,6 @@ class SchrodingerSource:
     spec: SuperpositionSpec
     c: PhysicalConstants
 
-    def amplitude(self, x, t):
-        return superposed_amplitude(self.spec, self.c, x, t)
-
-    def amplitude_dx(self, x, t):
-        return _superposed_amplitude_dx(self.spec, self.c, x, t)
-
     def centers_width(self, t):
         states = [packet_state(p, self.c, t) for p in (self.spec.packetA, self.spec.packetB)]
         return [st.x_t for st in states], max(st.sigma_t for st in states)
@@ -71,11 +65,12 @@ class SchrodingerSource:
     def line(self, r, t, d_dr=False):
         """Integrand x -> Psi*(x) Psi(x + r) of chi(r, t) (its r-derivative
         when d_dr), with the peaks and width that place the quadrature."""
+        spec, c = self.spec, self.c
         centers, width = self.centers_width(t)
-        shifted = self.amplitude_dx if d_dr else self.amplitude
+        shifted = _superposed_amplitude_dx if d_dr else superposed_amplitude
 
         def f(x):
-            return np.conj(self.amplitude(x, t)) * shifted(x + r, t)
+            return np.conj(superposed_amplitude(spec, c, x, t)) * shifted(spec, c, x + r, t)
 
         return f, centers + [xc - r for xc in centers], width
 
@@ -100,26 +95,16 @@ class CLSource:
 Source = SchrodingerSource | CLSource
 
 
-class CharacteristicFunction:
-    """chi(r, t) = integral over R of rho(r, R, t), with error estimate.
-
-    For pure states rho(r, R) = Psi(R + r/2) Psi*(R - r/2)."""
-
-    def __init__(self, source: Source):
-        self.source = source
-
-    def __call__(self, r: float, t: float):
-        """(chi(r, t), error estimate) by the composite Gauss-Legendre kernel."""
-        return _gl_line_integral(*self.source.line(r, t))
-
-    def d_dr(self, r: float, t: float):
-        """chi'(r, t) by quadrature of the r-derivative of the integrand."""
-        return _gl_line_integral(*self.source.line(r, t, d_dr=True))
+def _chi(source: Source, r: float, t: float, d_dr: bool = False):
+    """(chi(r, t), error estimate), chi(r, t) = integral over R of
+    rho(r, R, t), by the composite Gauss-Legendre kernel; its r-derivative
+    when d_dr.  For pure states rho(r, R) = Psi(R + r/2) Psi*(R - r/2)."""
+    return _gl_line_integral(*source.line(r, t, d_dr))
 
 
 def characteristic_modular(source: Source, t: float, ell: float) -> complex:
     """<e^{i p ell / hbar}> by quadrature of the characteristic function."""
-    val, err = CharacteristicFunction(source)(ell, t)
+    val, err = _chi(source, ell, t)
     if err > 1e-8:
         raise QuadratureError("characteristic quadrature error %.3g" % err)
     return val
@@ -139,7 +124,7 @@ def modular_via_momentum_grid(spec, c, t: float, ell: float) -> complex:
     hi = max(centers) + pad
     x = np.linspace(lo, hi, n, endpoint=False)
     dx = x[1] - x[0]
-    psi = src.amplitude(x, t)
+    psi = superposed_amplitude(spec, c, x, t)
     # momentum grid of the DFT with hbar folded in
     p = 2.0 * math.pi * c.hbar * np.fft.fftfreq(n, d=dx)
     psi_p = np.fft.fft(psi) * dx / math.sqrt(2.0 * math.pi * c.hbar)
@@ -158,17 +143,16 @@ def momentum_first_moment_translated(
     differences of chi itself; the two must agree closely.
     """
     hbar = source.c.hbar
-    cf = CharacteristicFunction(source)
     if method == "analytic":
-        val, err = cf.d_dr(ell, t)
+        val, err = _chi(source, ell, t, d_dr=True)
         if err > 1e-8:
             raise QuadratureError("moment quadrature error %.3g" % err)
         return (hbar / 1j) * val
     if method != "fd":
         raise ParameterError("method must be 'analytic' or 'fd'")
     h = 1e-4
-    d_h = (cf(ell + h, t)[0] - cf(ell - h, t)[0]) / (2.0 * h)
-    d_h2 = (cf(ell + h / 2, t)[0] - cf(ell - h / 2, t)[0]) / h
+    d_h = (_chi(source, ell + h, t)[0] - _chi(source, ell - h, t)[0]) / (2.0 * h)
+    d_h2 = (_chi(source, ell + h / 2, t)[0] - _chi(source, ell - h / 2, t)[0]) / h
     rich = (4.0 * d_h2 - d_h) / 3.0
     if abs(rich - d_h2) > 1e-6 * max(1.0, abs(rich)):
         raise QuadratureError("derivative estimate not converged")
@@ -207,10 +191,9 @@ def heisenberg_rhs_check(
     all expectations taken on the analytic density matrix by quadrature."""
     L, hbar = spec.L, c.hbar
     source = CLSource(spec, b, c)
-    cf = CharacteristicFunction(source)
 
-    lhs, step, ratio = _time_derivative_sweep(lambda s: cf(L, s)[0], t)
-    chi = cf(L, t)[0]
+    lhs, step, ratio = _time_derivative_sweep(lambda s: _chi(source, L, s)[0], t)
+    chi = _chi(source, L, t)[0]
     mom = momentum_first_moment_translated(source, t, L)
     term1 = (-1j * c.m * c.g * L / hbar - b.D * L**2 / hbar**2) * chi
     term2 = -2.0 * b.gamma * 1j * (L / hbar) * mom

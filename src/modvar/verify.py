@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caldeira_leggett import (
-    CLDensityMatrix,
+    _eval_parts,
+    _term_parts,
     cl_bohmian_trajectory,
     cl_current,
     cl_density,
@@ -56,6 +57,7 @@ from .schrodinger import (
 from .two_particle import (
     CompanionState,
     StatisticsKind,
+    early_time_model,
     modular_indistinguishable,
     modular_mb,
     reduced_modular_components,
@@ -268,12 +270,14 @@ def gate_local_global():
         worst_s = max(worst_s, abs(val - modular_expectation(spec, _C, t)))
 
     bath = BathParams(gamma=0.001, T=2.0)
-    rho = CLDensityMatrix(spec, bath, _C)
     worst_cl = 0.0
     for t in (0.5, 0.8, 1.5):
+        parts = _term_parts(spec, bath, _C, t)
+
         # rho(x, x) times the local value Re[rho(x+L, x) + rho(x-L, x)] / (2 rho(x, x))
-        def integrand_cl(x, t=t):
-            return 0.5 * complex(rho(L, x + L / 2.0, t) + rho(-L, x - L / 2.0, t)).real
+        def integrand_cl(x, parts=parts):
+            up, dn = _eval_parts(parts, L, x + L / 2.0), _eval_parts(parts, -L, x - L / 2.0)
+            return 0.5 * complex(up + dn).real
 
         states = [cl_packet_state(p, bath, _C, t) for p in (spec.packetA, spec.packetB)]
         val = _integrate_supports(integrand_cl, [s.x_t for s in states], states[0].w_t)
@@ -392,7 +396,7 @@ def gate_temperature_phase():
             if t > 0.0:
                 worst_ratio = max(worst_ratio, envs[1] / envs[0], envs[2] / envs[1])
         # initial frequency by forward difference at the lowest and highest T
-        omega0 = spec.L * (spec.k * gamma + _C.m * _C.g / _C.hbar)
+        omega0 = early_time_model(spec, baths[0], _C).omega0
         for b in (baths[0], baths[2]):
             phi_h = reduced_modular_components(spec, b, _C, 2.0 * h)[1]
             phi_0 = reduced_modular_components(spec, b, _C, 0.0)[1]

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
 from modvar.caldeira_leggett import (
-    CLDensityMatrix,
     _abs_on_grid,
     _blob_rectangles,
     _eval_parts,
@@ -126,24 +125,11 @@ def test_trace_stays_one():
 )
 def test_matrix_is_hermitian(r, R, t, alpha):
     # rho(R - r/2, R + r/2) must equal the conjugate of rho(R + r/2, R - r/2)
-    rho = CLDensityMatrix(base_spec(alpha), make_bath(0.001, 2.0), base_constants())
-    a = complex(rho(r, R, t))
-    b = complex(rho(-r, R, t))
+    spec, bath, c = base_spec(alpha), make_bath(0.001, 2.0), base_constants()
+    a = complex(density_matrix_rR(spec, bath, c, r, R, t))
+    b = complex(density_matrix_rR(spec, bath, c, -r, R, t))
     scale = max(abs(a), abs(b), 1e-300)
     assert abs(a - b.conjugate()) / scale < 1e-10
-
-
-def test_density_matrix_evaluator_takes_array_t():
-    # an array of t broadcasts against r and R exactly as in density_matrix_rR,
-    # and leaves the evaluator's scalar-t cache usable afterwards
-    spec, b, c = base_spec(math.pi / 4), make_bath(0.001, 2.0), base_constants()
-    rho = CLDensityMatrix(spec, b, c)
-    r = np.array([-2.0, 0.0, 0.5, 50.0])
-    R = np.array([-25.0, -24.0, 0.0, 25.0])
-    t = np.array([[0.5], [1.0]])
-    np.testing.assert_array_equal(rho(r, R, t), density_matrix_rR(spec, b, c, r, R, t))
-    for t in (0.7, 0.7, 1.3):
-        assert rho(0.5, -24.0, t) == density_matrix_rR(spec, b, c, 0.5, -24.0, t)
 
 
 def test_density_matrix_takes_list_t():
@@ -282,7 +268,8 @@ def test_local_modular_trajectory_frictionless():
 
 def test_local_modular_trajectory_matches_per_t_parts():
     # one coefficient evaluation over the whole trajectory against one
-    # _term_parts call per sample, which rounds complex products in Python;
+    # _term_parts call per sample, whose scalar complex products round
+    # differently from numpy's array loops;
     # the values reach 0.42, so 1e-15 allows a few units in the last place
     spec, b, c = base_spec(math.pi / 4), make_bath(0.001, 2.0), base_constants()
     grid = TimeGrid(0.0, 2.0, 201)
@@ -333,6 +320,40 @@ def test_array_t_equals_scalar_calls(name, gamma):
     np.testing.assert_array_equal(f(gamma, ts), scalars)
 
 
+def test_scalar_t_matches_array_t_within_rounding():
+    # outside the functions above, a scalar t and the matching element of an
+    # array of t may differ in the last bits: numpy's array loops round
+    # complex products and squares differently from scalar arithmetic, and
+    # action_t takes t**3.  The density matrix's exponents reach several
+    # hundred far from its peak, where the relative difference grows to ~1e-13
+    rng = np.random.default_rng(13)
+    c = base_constants()
+    for _ in range(40):
+        spec = base_spec(rng.uniform(0.0, 2.0 * math.pi))
+        b = make_bath(10.0 ** rng.uniform(-4.0, -1.0), rng.uniform(0.5, 15.0))
+        L = spec.L
+        r = np.array([0.0, 0.5, L, -L, L - 0.5])
+        R = np.array([-L / 2.0, L / 2.0 + 0.3, 0.0, 0.7, -1.0])
+        ts = np.sort(rng.uniform(0.0, 2.0, 8))
+        scalars = [
+            [density_matrix_rR(spec, b, c, ri, Ri, float(t)) for ri, Ri in zip(r, R)]
+            for t in ts
+        ]
+        np.testing.assert_allclose(
+            scalars, density_matrix_rR(spec, b, c, r, R, ts[:, None]), rtol=1e-12, atol=0.0
+        )
+    ts = np.linspace(0.0, 3.0, 3001)
+    spec = base_spec(math.pi / 4)
+    for p in (spec.packetA, spec.packetB):
+        array = packet_state(p, c, ts)
+        scalars = [packet_state(p, c, float(t)) for t in ts]
+        for field in ("s_t", "sigma_t", "x_t", "p_t", "action_t"):
+            np.testing.assert_allclose(
+                [getattr(st, field) for st in scalars], getattr(array, field),
+                rtol=1e-15, atol=0.0,
+            )
+
+
 def test_local_values_integrate_to_expectation():
     # weighting the local Hermitian value by the diagonal recovers the
     # closed-form expectation
@@ -340,12 +361,10 @@ def test_local_values_integrate_to_expectation():
     b = make_bath(0.001, 2.0)
     c = base_constants()
     t = 0.8
-    rho = CLDensityMatrix(spec, b, c)
 
     def integrand(x):
-        den = float(np.real(rho(0.0, x, t)))
-        up = complex(rho(spec.L, x + spec.L / 2.0, t))
-        dn = complex(rho(-spec.L, x - spec.L / 2.0, t))
+        up = complex(density_matrix_rR(spec, b, c, spec.L, x + spec.L / 2.0, t))
+        dn = complex(density_matrix_rR(spec, b, c, -spec.L, x - spec.L / 2.0, t))
         return 0.5 * (up + dn).real
 
     total = 0.0

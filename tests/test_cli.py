@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_figure_header_round_trips_as_config(tmp_path):
     r2 = run_cli("figure", "fig2", "--config", str(cfg_path), "--out", str(out2))
     assert r2.returncode == 0
     path2 = [p for p in r2.stdout.split() if p.endswith(".csv")][0]
-    assert open(path1, "rb").read() == open(path2, "rb").read()
+    assert Path(path1).read_bytes() == Path(path2).read_bytes()
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -241,7 +242,7 @@ def test_flag_overrides_config_file(tmp_path):
     res = run_cli("figure", "fig2", "--config", str(cfg), "--kick", "0.1", "--out", str(out))
     assert res.returncode == 0
     path = [p for p in res.stdout.split() if p.endswith(".csv")][0]
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert "# kick=0.1" in text
     assert "# alpha=0" in text
 
