@@ -24,7 +24,6 @@ import numpy as np
 from .params import (
     BathParams,
     GaussianPacket,
-    ParameterError,
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
@@ -199,23 +198,9 @@ def cl_density(spec, b, c, x, t: float):
     return float_if_scalar(out)
 
 
-def cl_current(spec, b, c, x, t: float, method: str = "analytic"):
-    """Probability current j(x,t) = (hbar/m) Im d rho/d r at (r=0, R=x).
-
-    method="step" switches to a Richardson central-difference fallback used
-    to validate the analytic derivative.
-    """
-    parts = _term_parts(spec, b, c, t)
-    x = np.asarray(x, dtype=float)
-    if method == "analytic":
-        d = _eval_parts_dr(parts, 0.0, x)
-    elif method == "step":
-        h = 1e-5
-        d4 = (_eval_parts(parts, h, x) - _eval_parts(parts, -h, x)) / (2.0 * h)
-        d2 = (_eval_parts(parts, h / 2, x) - _eval_parts(parts, -h / 2, x)) / h
-        d = (4.0 * d2 - d4) / 3.0
-    else:
-        raise ParameterError("method must be 'analytic' or 'step'")
+def cl_current(spec, b, c, x, t: float):
+    """Probability current j(x,t) = (hbar/m) Im d rho/d r at (r=0, R=x)."""
+    d = _eval_parts_dr(_term_parts(spec, b, c, t), 0.0, np.asarray(x, dtype=float))
     out = (c.hbar / c.m) * np.imag(d)
     return float_if_scalar(out)
 
@@ -310,8 +295,6 @@ def _line_scale(parts, r0):
     w, quad, slope, terms, weights = parts
     best = -math.inf
     for wt, (A, lin, beta) in zip(weights, terms):
-        if wt == 0:
-            continue
         u = beta + slope * r0
         expo = (A + lin * r0 + quad * r0 * r0).real + u.real**2 / (2.0 * w * w)
         best = max(best, math.log(abs(wt)) + expo)

@@ -56,6 +56,11 @@ class RunConfig:
     support_factor: float = _setting(5.0)
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not isinstance(value, str) and not all(map(math.isfinite, values)):
+                raise ConfigError("%s must be finite, got %r" % (file_key(f), value))
         if self.framework not in ("both", "schrodinger", "cl"):
             raise ConfigError("framework must be schrodinger, cl, or both")
         if self.samples < 2:
@@ -68,10 +73,8 @@ class RunConfig:
             raise ConfigError("temperatures must be positive")
         if not self.temperatures or not self.alphas:
             raise ConfigError("temperature and alpha lists must be nonempty")
-        if not self.support_factor > 0.0:  # also rejects NaN
+        if self.support_factor <= 0.0:
             raise ConfigError("support factor must be positive")
-        if not all(math.isfinite(x) for x in self.x0_offsets):
-            raise ConfigError("x0 offsets must be finite")
         try:
             self.constants()
             self.superposition(self.alphas[0])

@@ -339,7 +339,6 @@ def moment_ode_window(
     b: BathParams | None,
     c: PhysicalConstants,
     support_factor: float = 5.0,
-    rate_multiplier: float = 1.0,
 ) -> float:
     """Non-overlap window from the Caldeira-Leggett second-moment equations.
 
@@ -350,13 +349,14 @@ def moment_ode_window(
 
     from Sxx = sigma0^2, Sxp = 0, Spp = hbar^2/(4 sigma0^2), and stops at the
     first root of the gap (x_A + s sqrt(Sxx_A)) - (x_B - s sqrt(Sxx_B)).
-    b = None is the unitary limit (gamma = D = 0); rate_multiplier scales
-    gamma with D held fixed, which gives the two-particle window at 2.
+    b = None is the unitary limit (gamma = D = 0).  The two-particle
+    (common-bath) window is the single-packet window at rate 2 gamma with D
+    unchanged: a bath BathParams(2 gamma, T/2) carries the same D.
     """
     from scipy import integrate
 
     m, hbar, g = c.m, c.hbar, c.g
-    gamma = 0.0 if b is None else b.gamma * rate_multiplier
+    gamma = 0.0 if b is None else b.gamma
     D = 0.0 if b is None else b.D
     s = support_factor
 

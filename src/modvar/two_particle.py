@@ -71,9 +71,7 @@ class EarlyTimeModel:
         return -self.omega0 * t
 
 
-def gaussian_overlap(
-    pA: GaussianPacket, pB: GaussianPacket, c: PhysicalConstants = PhysicalConstants()
-) -> complex:
+def gaussian_overlap(pA: GaussianPacket, pB: GaussianPacket, c: PhysicalConstants) -> complex:
     """<psi_A | psi_B> for two Gaussian packets, phases included."""
     hbar = c.hbar
     sa2, sb2 = pA.sigma0**2, pB.sigma0**2
@@ -121,7 +119,7 @@ def indistinguishable_norm(
     spec: SuperpositionSpec,
     chi: CompanionState,
     s: StatisticsKind,
-    c: PhysicalConstants = PhysicalConstants(),
+    c: PhysicalConstants,
 ) -> float:
     """N_pm = [2 pm |<chi|psi_A> + e^{i alpha} <chi|psi_B>|^2]^{-1/2}."""
     if s is StatisticsKind.MB:

@@ -91,6 +91,8 @@ def test_bad_flag_value():
         ("window", "--framework", "schrodinger", "--support-factor", "nan"),
         ("figure", "fig3", "--gamma", "nan"),
         ("figure", "fig1", "--x0-offset", "nan"),
+        ("figure", "fig3", "--tmax", "inf"),
+        ("window", "--framework", "schrodinger", "--support-factor", "inf"),
     ],
 )
 def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):

@@ -233,9 +233,11 @@ def test_window_matches_moment_ode(gamma, T, two_particle):
     b = None if gamma is None else make_bath(gamma, T)
     if two_particle:
         solved = two_particle_window(spec, b, c)
+        # twice the rate at half the temperature keeps D = 2 m gamma kB T
+        b = BathParams(2.0 * gamma, T / 2.0, constants=c)
     else:
         solved = overlap_window("schrodinger" if b is None else "cl", spec, b, c)
-    oracle = moment_ode_window(spec, b, c, rate_multiplier=2.0 if two_particle else 1.0)
+    oracle = moment_ode_window(spec, b, c)
     assert solved.t_max == pytest.approx(oracle, abs=1e-6)
 
 
