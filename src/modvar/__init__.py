@@ -11,7 +11,6 @@ from .params import (
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
-    TimeSeries,
     diffusion_coefficient,
     friction_drift,
     make_superposition,
@@ -27,13 +26,9 @@ from .schrodinger import (
     local_modular_on_trajectory,
     local_modular_pointwise,
     modular_expectation,
-    modular_period,
-    packet_amplitude,
     packet_state,
-    phase_rotated_modular,
     superposed_amplitude,
     superposed_density_and_current,
-    superposition_norm,
 )
 from .caldeira_leggett import (
     PacketStateCL,
@@ -53,11 +48,10 @@ from .caldeira_leggett import (
 )
 from .two_particle import (
     CompanionState,
-    EarlyTimeModel,
     StatisticsKind,
-    early_time_model,
     gaussian_overlap,
     indistinguishable_norm,
+    initial_phase_rate,
     modular_indistinguishable,
     modular_mb,
     reduced_modular_common_bath,

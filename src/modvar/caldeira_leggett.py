@@ -27,7 +27,6 @@ from .params import (
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
-    TimeSeries,
     float_if_scalar,
     friction_drift,
     scaled_time_tau,
@@ -217,9 +216,9 @@ def local_translation(spec, b, c, x: float, t: float) -> complex:
 
 def cl_local_modular_on_trajectory(
     spec, b, c, X0: float, grid: TimeGrid, support_factor: float = 5.0
-) -> TimeSeries:
+) -> np.ndarray:
     """Local Hermitian modular value along the left packet's trajectory:
-    Re{[rho(X+L, X) + rho(X-L, X)] / (2 rho(X, X))}."""
+    Re{[rho(X+L, X) + rho(X-L, X)] / (2 rho(X, X))}, on grid.times()."""
     pA = spec.packetA
     if abs(X0 - pA.x0) > support_factor * pA.sigma0:
         warnings.warn(
@@ -234,12 +233,7 @@ def cl_local_modular_on_trajectory(
         raise DomainError("rho(X, X, t) underflows at t = %g" % ts[np.argmax(under)])
     up = _eval_parts(parts, L, X + L / 2.0)
     dn = _eval_parts(parts, -L, X - L / 2.0)
-    return TimeSeries(
-        t=ts,
-        values=np.real((up + dn) / (2.0 * den)),
-        provenance="cl local modular, X0=%g, alpha=%g, gamma=%g, T=%g"
-        % (X0, spec.alpha, b.gamma, b.T),
-    )
+    return np.real((up + dn) / (2.0 * den))
 
 
 class QuadratureError(RuntimeError):

@@ -121,12 +121,12 @@ def _fig2(cfg: RunConfig) -> list:
         for off in cfg.x0_offsets:
             X0 = spec.packetA.x0 + off * cfg.sigma0
             if fw == "schrodinger":
-                series = local_modular_on_trajectory(spec, c, X0, grid, cfg.support_factor)
+                values = local_modular_on_trajectory(spec, c, X0, grid, cfg.support_factor)
             else:
-                series = cl_local_modular_on_trajectory(
+                values = cl_local_modular_on_trajectory(
                     spec, bath, c, X0, grid, cfg.support_factor
                 )
-            cols.append(series.values)
+            cols.append(values)
             names.append("%s_offset=%.15g" % (fw, off))
     return [("fig2_local_modular.csv", ["figure: fig2 local modular values"], names, cols)]
 

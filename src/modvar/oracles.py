@@ -134,40 +134,28 @@ def modular_via_momentum_grid(spec, c, t: float, ell: float) -> complex:
     return complex((prob * np.exp(1j * p * ell / c.hbar)).sum() * dp / norm)
 
 
-def momentum_first_moment_translated(
-    source: Source, t: float, ell: float, method: str = "analytic"
-) -> complex:
-    """<p e^{i p ell / hbar}> = (hbar/i) d chi / d r at r = ell.
-
-    method="fd" replaces the integrand derivative by Richardson central
-    differences of chi itself; the two must agree closely.
-    """
-    hbar = source.c.hbar
-    if method == "analytic":
-        val, err = _chi(source, ell, t, d_dr=True)
-        if err > 1e-8:
-            raise QuadratureError("moment quadrature error %.3g" % err)
-        return (hbar / 1j) * val
-    if method != "fd":
-        raise ParameterError("method must be 'analytic' or 'fd'")
-    h = 1e-4
-    d_h = (_chi(source, ell + h, t)[0] - _chi(source, ell - h, t)[0]) / (2.0 * h)
-    d_h2 = (_chi(source, ell + h / 2, t)[0] - _chi(source, ell - h / 2, t)[0]) / h
-    rich = (4.0 * d_h2 - d_h) / 3.0
-    if abs(rich - d_h2) > 1e-6 * max(1.0, abs(rich)):
-        raise QuadratureError("derivative estimate not converged")
-    return (hbar / 1j) * rich
+def momentum_first_moment_translated(source: Source, t: float, ell: float) -> complex:
+    """<p e^{i p ell / hbar}> = (hbar/i) d chi / d r at r = ell, by quadrature
+    of the integrand's r-derivative."""
+    val, err = _chi(source, ell, t, d_dr=True)
+    if err > 1e-8:
+        raise QuadratureError("moment quadrature error %.3g" % err)
+    return (source.c.hbar / 1j) * val
 
 
-def _time_derivative_sweep(f: Callable[[float], complex], t: float, h0: float = 1e-3):
+_SWEEP_H0 = 1e-3
+
+
+def _time_derivative_sweep(f: Callable[[float], complex], t: float):
     """Central-difference df/dt with automatic step refinement.
 
-    Halves the step while each difference of successive estimates is at
-    most half the one before.  The first estimate that breaks this sits on
-    the round-off floor and is discarded: returns (last converged estimate,
-    its step, convergence ratio of the last clean pair of differences).
+    Starts at step _SWEEP_H0 and halves it while each difference of
+    successive estimates is at most half the one before.  The first estimate
+    that breaks this sits on the round-off floor and is discarded: returns
+    (last converged estimate, its step, convergence ratio of the last clean
+    pair of differences).
     """
-    h = best_h = h0
+    h = best_h = _SWEEP_H0
     best = (f(t + h) - f(t - h)) / (2.0 * h)
     diffs = []
     for _ in range(9):
@@ -208,13 +196,18 @@ def heisenberg_rhs_check(
     )
 
 
-def _sample_supports(framework, spec, b, c, n, t_max=2.0, seed=7):
-    """Deterministic sample points inside the evolving packet supports, as
-    arrays: (x, t) for "schrodinger" and (r, R, t) for "cl"."""
-    rng = np.random.default_rng(seed)
+_SAMPLE_T_MAX = 2.0
+_SAMPLE_SEED = 7
+
+
+def _sample_supports(framework, spec, b, c, n):
+    """Deterministic sample points inside the evolving packet supports over
+    0.05 <= t <= _SAMPLE_T_MAX, as arrays: (x, t) for "schrodinger" and
+    (r, R, t) for "cl"."""
+    rng = np.random.default_rng(_SAMPLE_SEED)
     # one row of draws per point: t, packet choice, R (or x) offset, r
     u = rng.random((n, 3 if framework == "schrodinger" else 4))
-    t = 0.05 + (t_max - 0.05) * u[:, 0]
+    t = 0.05 + (_SAMPLE_T_MAX - 0.05) * u[:, 0]
     in_a = u[:, 1] < 0.5
     offset = -2.0 + 4.0 * u[:, 2]
     if framework == "schrodinger":
@@ -411,7 +404,6 @@ class GridPropagation:
     psi: np.ndarray
     norm_drift: float
     boundary_peak: float
-    dt: float
 
 
 def _propagation_box(spec, c, t_final):
@@ -471,7 +463,7 @@ def grid_propagator(
                 "boundary density %.3g exceeds 1e-12; enlarge the box" % edge
             )
     psi = np.exp(-2j * grid.n_steps * a * x) * psi
-    return GridPropagation(x=x, psi=psi, norm_drift=worst_norm, boundary_peak=worst_edge, dt=dt)
+    return GridPropagation(x=x, psi=psi, norm_drift=worst_norm, boundary_peak=worst_edge)
 
 
 def l2_error(x: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray) -> float:

@@ -64,9 +64,12 @@ class BathParams:
             raise ParameterError("relaxation rate gamma must be >= 0")
         if self.T < 0:
             raise ParameterError("temperature must be >= 0")
-        object.__setattr__(
-            self, "D", diffusion_coefficient(self.constants, self.gamma, self.T)
-        )
+        D = diffusion_coefficient(self.constants, self.gamma, self.T)
+        if not math.isfinite(D):
+            raise OverflowError(
+                "D = 2 m gamma kB T overflows at gamma = %r, T = %r" % (self.gamma, self.T)
+            )
+        object.__setattr__(self, "D", D)
 
 
 @dataclass(frozen=True)
@@ -128,20 +131,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Ordered (t, value) samples plus a short provenance string describing
-    the parameters that produced them."""
-
-    t: np.ndarray
-    values: np.ndarray
-    provenance: str = ""
-
-    def __post_init__(self):
-        if len(self.t) != len(self.values):
-            raise ParameterError("time and value arrays must align")
 
 
 def make_superposition(

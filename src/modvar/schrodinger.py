@@ -19,7 +19,6 @@ from .params import (
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
-    TimeSeries,
     float_if_scalar,
 )
 
@@ -74,7 +73,7 @@ def packet_state(p: GaussianPacket, c: PhysicalConstants, t) -> PacketStateS:
     return PacketStateS(s_t=s_t, sigma_t=sigma_t, x_t=x_t, p_t=p_t, action_t=action_t)
 
 
-def packet_amplitude(p: GaussianPacket, c: PhysicalConstants, x, t: float):
+def _packet_amplitude(p: GaussianPacket, c: PhysicalConstants, x, t: float):
     """Complex amplitude of a single evolved packet at position(s) x."""
     st = packet_state(p, c, t)
     x = np.asarray(x, dtype=float)
@@ -88,10 +87,10 @@ def packet_amplitude(p: GaussianPacket, c: PhysicalConstants, x, t: float):
 
 
 def _packet_amplitude_dx(p: GaussianPacket, c: PhysicalConstants, x, t: float):
-    """Spatial derivative of packet_amplitude (analytic)."""
+    """Spatial derivative of _packet_amplitude (analytic)."""
     st = packet_state(p, c, t)
     x = np.asarray(x, dtype=float)
-    phi = packet_amplitude(p, c, x, t)
+    phi = _packet_amplitude(p, c, x, t)
     return phi * (-(x - st.x_t) / (2.0 * st.s_t * p.sigma0) + 1j * st.p_t / c.hbar)
 
 
@@ -117,7 +116,7 @@ def bohmian_trajectory(
     return BohmianTrajectory(X0=X0, samples=np.column_stack([ts, X]))
 
 
-def superposition_norm(spec: SuperpositionSpec, c: PhysicalConstants) -> float:
+def _superposition_norm(spec: SuperpositionSpec, c: PhysicalConstants) -> float:
     """Normalization constant of the two-packet superposition."""
     s0 = spec.sigma0
     overlap = math.exp(-spec.L**2 / (8.0 * s0**2) - 0.5 * spec.k**2 * s0**2)
@@ -126,14 +125,14 @@ def superposition_norm(spec: SuperpositionSpec, c: PhysicalConstants) -> float:
 
 def superposed_amplitude(spec: SuperpositionSpec, c: PhysicalConstants, x, t: float):
     """Amplitude of the evolved superposition N (psi_A + e^{i alpha} psi_B)/sqrt(2)."""
-    N = superposition_norm(spec, c)
-    psiA = packet_amplitude(spec.packetA, c, x, t)
-    psiB = packet_amplitude(spec.packetB, c, x, t)
+    N = _superposition_norm(spec, c)
+    psiA = _packet_amplitude(spec.packetA, c, x, t)
+    psiB = _packet_amplitude(spec.packetB, c, x, t)
     return N * (psiA + cmath.exp(1j * spec.alpha) * psiB) / math.sqrt(2.0)
 
 
 def _superposed_amplitude_dx(spec: SuperpositionSpec, c: PhysicalConstants, x, t: float):
-    N = superposition_norm(spec, c)
+    N = _superposition_norm(spec, c)
     dA = _packet_amplitude_dx(spec.packetA, c, x, t)
     dB = _packet_amplitude_dx(spec.packetB, c, x, t)
     return N * (dA + cmath.exp(1j * spec.alpha) * dB) / math.sqrt(2.0)
@@ -154,19 +153,6 @@ def modular_expectation(spec: SuperpositionSpec, c: PhysicalConstants, t):
     s0 = spec.sigma0
     amp = 0.5 * math.exp(-0.5 * spec.k**2 * s0**2)
     return float_if_scalar(amp * np.cos(spec.alpha - c.m * c.g * spec.L * t / c.hbar))
-
-
-def modular_period(spec: SuperpositionSpec, c: PhysicalConstants) -> float:
-    """Oscillation period 2 pi hbar / (m |g| L) of the modular signal."""
-    return 2.0 * math.pi * c.hbar / (c.m * abs(c.g) * spec.L)
-
-
-def phase_rotated_modular(
-    initial: complex, ell: float, c: PhysicalConstants, t: float
-) -> complex:
-    """Propagate a translation expectation value under uniform gravity:
-    a pure phase rotation e^{-i m g ell t / hbar}; the identity for g = 0."""
-    return cmath.exp(-1j * c.m * c.g * ell * t / c.hbar) * initial
 
 
 _UNDERFLOW = 1e-300
@@ -198,8 +184,9 @@ def local_modular_on_trajectory(
     """Local modular value along the trajectory launched from X0 inside the
     left (occupied) packet.
 
-    Returns a TimeSeries. X0 outside the left packet's effective support only
-    warns: the closed form stays evaluable, it just loses its interpretation.
+    Returns the values on grid.times() as an array. X0 outside the left
+    packet's effective support only warns: the closed form stays evaluable,
+    it just loses its interpretation.
     """
     pA = spec.packetA
     if abs(X0 - pA.x0) > support_factor * pA.sigma0:
@@ -220,9 +207,4 @@ def local_modular_on_trajectory(
         - hbar * k**2 * s0**2 * ts / (m * sigma_t**2)
         + k * (L + 2.0 * X0) * s0 / sigma_t
     )
-    values = envelope * np.cos(phase)
-    return TimeSeries(
-        t=ts,
-        values=values,
-        provenance="schrodinger local modular, X0=%g, alpha=%g" % (X0, spec.alpha),
-    )
+    return envelope * np.cos(phase)

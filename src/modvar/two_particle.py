@@ -1,5 +1,5 @@
 """Two-particle modular expectations under exchange statistics and the
-common-bath reduced modular signal with its early-time model.
+common-bath reduced modular signal with its initial phase rate.
 
 Everything here is closed-form Gaussian algebra; no two-particle grids are
 ever materialized.
@@ -51,24 +51,6 @@ class CompanionState:
     @property
     def is_tag(self) -> bool:
         return isinstance(self.chi, str)
-
-
-@dataclass(frozen=True)
-class EarlyTimeModel:
-    """Short-time model of the common-bath signal: envelope
-    prefactor*exp(-linear_rate t - quadratic_rate t^2) and phase drift
-    -omega0 t."""
-
-    prefactor: float
-    linear_rate: float
-    quadratic_rate: float
-    omega0: float
-
-    def envelope(self, t: float) -> float:
-        return self.prefactor * math.exp(-self.linear_rate * t - self.quadratic_rate * t * t)
-
-    def delta_phi(self, t: float) -> float:
-        return -self.omega0 * t
 
 
 def gaussian_overlap(pA: GaussianPacket, pB: GaussianPacket, c: PhysicalConstants) -> complex:
@@ -217,16 +199,7 @@ def reduced_modular_common_bath(
     return float_if_scalar(envelope * np.cos(phase))
 
 
-def early_time_model(
-    spec: SuperpositionSpec, b: BathParams, c: PhysicalConstants
-) -> EarlyTimeModel:
-    """Leading short-time behavior of the common-bath signal."""
-    m, hbar, g = c.m, c.hbar, c.g
-    gamma, D = b.gamma, b.D
-    s0, L, k = spec.sigma0, spec.L, spec.k
-    return EarlyTimeModel(
-        prefactor=0.5 * math.exp(-0.5 * k**2 * s0**2),
-        linear_rate=D * L**2 / hbar**2,
-        quadratic_rate=L**2 * gamma * (gamma / s0**2 + 4.0 * D / hbar**2),
-        omega0=L * (k * gamma + m * g / hbar),
-    )
+def initial_phase_rate(spec: SuperpositionSpec, b: BathParams, c: PhysicalConstants) -> float:
+    """omega0 = L (k gamma + m g / hbar): the common-bath signal's phase falls
+    as -omega0 t at small t."""
+    return spec.L * (spec.k * b.gamma + c.m * c.g / c.hbar)

@@ -57,7 +57,7 @@ from .schrodinger import (
 from .two_particle import (
     CompanionState,
     StatisticsKind,
-    early_time_model,
+    initial_phase_rate,
     modular_indistinguishable,
     modular_mb,
     reduced_modular_components,
@@ -236,16 +236,18 @@ def gate_trajectories():
     return {"unitary": worst_s, "dissipative": worst_cl}, worst_s <= 1e-6 and worst_cl <= 1e-5
 
 
-def _integrate_supports(f, centers, width, reach=10.0):
-    """Adaptive quadrature of f over reach widths around each center; kept
-    on scipy so that it stays independent of the Gauss-Legendre kernel."""
+_SUPPORT_REACH = 10.0
+
+
+def _integrate_supports(f, centers, width):
+    """Adaptive quadrature of f over _SUPPORT_REACH widths around each center;
+    kept on scipy so that it stays independent of the Gauss-Legendre kernel."""
     from scipy import integrate
 
+    reach = _SUPPORT_REACH * width
     total = 0.0
     for xc in centers:
-        val, _ = integrate.quad(
-            f, xc - reach * width, xc + reach * width, epsabs=1e-12, epsrel=1e-10, limit=200
-        )
+        val, _ = integrate.quad(f, xc - reach, xc + reach, epsabs=1e-12, epsrel=1e-10, limit=200)
         total += val
     return total
 
@@ -396,7 +398,7 @@ def gate_temperature_phase():
             if t > 0.0:
                 worst_ratio = max(worst_ratio, envs[1] / envs[0], envs[2] / envs[1])
         # initial frequency by forward difference at the lowest and highest T
-        omega0 = early_time_model(spec, baths[0], _C).omega0
+        omega0 = initial_phase_rate(spec, baths[0], _C)
         for b in (baths[0], baths[2]):
             phi_h = reduced_modular_components(spec, b, _C, 2.0 * h)[1]
             phi_0 = reduced_modular_components(spec, b, _C, 0.0)[1]

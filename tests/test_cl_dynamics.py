@@ -269,7 +269,7 @@ def test_local_modular_trajectory_frictionless():
     grid = TimeGrid(0.0, 1.0, 11)
     damp = cl_local_modular_on_trajectory(spec, make_bath(1e-10, 2.0), c, -25.0, grid)
     free = local_modular_on_trajectory(spec, c, -25.0, grid)
-    assert np.max(np.abs(damp.values - free.values)) < 1e-6
+    assert np.max(np.abs(damp - free)) < 1e-6
 
 
 def test_local_modular_trajectory_matches_per_t_parts():
@@ -279,7 +279,7 @@ def test_local_modular_trajectory_matches_per_t_parts():
     # the values reach 0.42, so 1e-15 allows a few units in the last place
     spec, b, c = base_spec(math.pi / 4), make_bath(0.001, 2.0), base_constants()
     grid = TimeGrid(0.0, 2.0, 201)
-    got = cl_local_modular_on_trajectory(spec, b, c, -27.0, grid).values
+    got = cl_local_modular_on_trajectory(spec, b, c, -27.0, grid)
     L = spec.L
     want = []
     for t, X in cl_bohmian_trajectory(spec.packetA, b, c, -27.0, grid).samples:

@@ -126,6 +126,22 @@ def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("figure", "fig4", "--gamma", "1e308"), ("window", "--framework", "cl", "--gamma", "1e308")],
+)
+def test_overflowing_diffusion_is_one_diagnostic_line(argv, tmp_path):
+    # D = 2 m gamma kB T overflows at the default temperatures: one named
+    # failure, raised before any numpy arithmetic can warn
+    res = run_cli(*argv, "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("numerical failure: D")
+    assert "RuntimeWarning" not in res.stderr
+    assert res.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 _EXTREMES = [0.0, -0.0, -1.0, 1e-300, -1e-300, 1e-200, 1e200, 1e300, -1e300, 1e308,
              math.nan, math.inf, -math.inf]
 _FLAGS = ("--gamma", "--temperature", "--kick", "--sigma0", "--support-factor")

@@ -1,12 +1,14 @@
 """Independent numerical routes (quadrature, finite differences, spectral
 propagation) that the closed forms are held against."""
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
 
-from conftest import BASE, base_constants, base_spec, golden_record, make_bath
+from conftest import BASE, base_constants, base_spec, golden_record, make_bath, param_hash
 from modvar import oracles
 from modvar.caldeira_leggett import (
     cl_bohmian_trajectory,
@@ -99,11 +101,29 @@ def test_momentum_moment_matches_recorded_fd(goldens):
     got = momentum_first_moment_translated(src, 1.0, 50.0)
     assert got.real == pytest.approx(re_ref, abs=tol)
     assert got.imag == pytest.approx(im_ref, abs=tol)
-    # the Richardson fallback agrees with the integrand derivative
-    fd = momentum_first_moment_translated(src, 1.0, 50.0, method="fd")
+
+    def d_chi(h):
+        return (characteristic_modular(src, 1.0, 50.0 + h)
+                - characteristic_modular(src, 1.0, 50.0 - h)) / (2.0 * h)
+
+    # Richardson central differences of chi agree with the integrand derivative
+    fd = (src.c.hbar / 1j) * (4.0 * d_chi(5e-5) - d_chi(1e-4)) / 3.0
     assert abs(got - fd) < 1e-7 * max(1.0, abs(got))
-    with pytest.raises(ParameterError):
-        momentum_first_moment_translated(src, 1.0, 50.0, method="spline")
+
+
+def test_goldens_script_recomputes_momentum_moment(goldens):
+    # the committed record is reproduced by the script that wrote it
+    pytest.importorskip("mpmath")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "generate_goldens.py")
+    module_spec = importlib.util.spec_from_file_location("generate_goldens", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    quantity, params, values, oracle, tol = script.rec_momentum_first_moment()
+    assert params == {**BASE, "alpha": 0.0, "t": 1.0, "ell": 50.0}
+    assert script.param_hash(params) == param_hash(params)
+    ref, ref_oracle, ref_tol = golden_record(goldens, quantity, params)
+    assert (oracle, tol) == (ref_oracle, ref_tol)
+    assert values == pytest.approx(ref, rel=0, abs=ref_tol)
 
 
 def test_momentum_moment_zero_translation_is_classical():

@@ -1,7 +1,6 @@
 """Unitary evolution: packet states, modular signal, local values,
 trajectories."""
 
-import cmath
 import math
 
 import numpy as np
@@ -18,9 +17,7 @@ from modvar.schrodinger import (
     local_modular_on_trajectory,
     local_modular_pointwise,
     modular_expectation,
-    modular_period,
     packet_state,
-    phase_rotated_modular,
     superposed_amplitude,
     superposed_density_and_current,
 )
@@ -87,30 +84,14 @@ def test_modular_value_against_golden(goldens):
     assert got == pytest.approx(values[0], abs=tol)
 
 
-def test_modular_period_value():
-    # 2 pi hbar/(m |g| L) at the working parameters
-    assert modular_period(base_spec(0.0), base_constants()) == pytest.approx(
-        2.0 * math.pi / 150.0, rel=1e-15
-    )
+def test_modular_signal_period():
+    # the signal repeats after T = 2 pi hbar/(m |g| L)
     spec = base_spec(0.3)
     c = base_constants()
-    T = modular_period(spec, c)
+    T = 2.0 * math.pi * c.hbar / (c.m * abs(c.g) * spec.L)
     assert modular_expectation(spec, c, T) == pytest.approx(
         modular_expectation(spec, c, 0.0), rel=1e-12
     )
-
-
-def test_phase_rotation_identity():
-    c = base_constants()
-    for alpha in (0.0, 0.7, math.pi / 2):
-        spec = base_spec(alpha)
-        chi0 = 0.5 * math.exp(-0.5 * spec.k**2) * cmath.exp(1j * alpha)
-        for t in (0.3, 1.1, 1.9):
-            rotated = phase_rotated_modular(chi0, spec.L, c, t)
-            assert rotated.real == pytest.approx(modular_expectation(spec, c, t), abs=1e-12)
-    # g = 0 leaves the value untouched
-    c0 = PhysicalConstants(g=0.0)
-    assert phase_rotated_modular(0.3 + 0.1j, 50.0, c0, 5.0) == 0.3 + 0.1j
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,16 +137,16 @@ def test_local_decomposes_to_global():
 
 def test_local_on_trajectory_start_value():
     spec = base_spec(math.pi / 4)
-    series = local_modular_on_trajectory(spec, base_constants(), -25.0, TimeGrid(0.0, 2.0, 41))
-    assert series.values[0] == pytest.approx(0.5 * math.cos(math.pi / 4), rel=1e-12)
+    values = local_modular_on_trajectory(spec, base_constants(), -25.0, TimeGrid(0.0, 2.0, 41))
+    assert values[0] == pytest.approx(0.5 * math.cos(math.pi / 4), rel=1e-12)
 
 
 def test_local_on_trajectory_static_case():
     # no kick, no gravity: the local value never moves
     spec = make_superposition(L=50.0, sigma0=1.0, k=0.0, alpha=0.9)
     c = PhysicalConstants(g=0.0)
-    series = local_modular_on_trajectory(spec, c, -25.0, TimeGrid(0.0, 2.0, 21))
-    assert np.allclose(series.values, 0.5 * math.cos(0.9), rtol=0, atol=1e-14)
+    values = local_modular_on_trajectory(spec, c, -25.0, TimeGrid(0.0, 2.0, 21))
+    assert np.allclose(values, 0.5 * math.cos(0.9), rtol=0, atol=1e-14)
 
 
 def test_local_on_trajectory_support_warning():
@@ -179,9 +160,9 @@ def test_local_matches_pointwise_along_path():
     spec = base_spec(math.pi / 4)
     grid = TimeGrid(0.0, 1.0, 9)
     X0 = -26.0
-    series = local_modular_on_trajectory(spec, c, X0, grid)
+    values = local_modular_on_trajectory(spec, c, X0, grid)
     traj = bohmian_trajectory(spec.packetA, c, X0, grid)
-    for ti, Xi, vi in zip(series.t, traj.X, series.values):
+    for ti, Xi, vi in zip(grid.times(), traj.X, values):
         assert vi == pytest.approx(local_modular_pointwise(spec, c, Xi, float(ti)), abs=1e-8)
 
 

@@ -15,9 +15,9 @@ from modvar.params import GaussianPacket, ParameterError, make_superposition
 from modvar.two_particle import (
     CompanionState,
     StatisticsKind,
-    early_time_model,
     gaussian_overlap,
     indistinguishable_norm,
+    initial_phase_rate,
     modular_indistinguishable,
     modular_mb,
     reduced_modular_common_bath,
@@ -223,29 +223,11 @@ def test_common_bath_envelope_positive_and_decaying():
     assert all(e0 > e1 for e0, e1 in zip(envs, envs[1:]))
 
 
-def test_early_time_model_values():
+def test_initial_phase_rate_value():
     c = base_constants()
     spec = base_spec(math.pi / 2)
     b = make_bath(0.005, 15.0)
-    model = early_time_model(spec, b, c)
-    assert model.prefactor == pytest.approx(0.49750623959634116, rel=1e-14)
-    assert model.linear_rate == pytest.approx(b.D * spec.L**2, rel=1e-14)
-    assert model.linear_rate == pytest.approx(375.0, rel=1e-12)
-    assert model.omega0 == pytest.approx(-149.975, rel=1e-12)
-    assert model.envelope(0.01) == pytest.approx(0.011691380354137363, rel=1e-12)
-    assert model.delta_phi(0.01) == pytest.approx(1.49975, rel=1e-12)
-
-
-def test_early_time_model_tracks_full_signal():
-    # envelope and phase drift agree with the exact components at small t
-    c = base_constants()
-    spec = base_spec(math.pi / 2)
-    b = make_bath(0.005, 15.0)
-    model = early_time_model(spec, b, c)
-    for t in (1e-4, 1e-3):
-        env, phase = reduced_modular_components(spec, b, c, t)
-        assert model.envelope(t) == pytest.approx(env, rel=1e-4)
-        assert model.delta_phi(t) == pytest.approx(phase - spec.alpha, rel=1e-4)
+    assert initial_phase_rate(spec, b, c) == pytest.approx(-149.975, rel=1e-12)
 
 
 def test_unknown_companion_tag_rejected():
