@@ -47,10 +47,8 @@ from .caldeira_leggett import (
     trace_check,
 )
 from .two_particle import (
-    CompanionState,
     StatisticsKind,
     gaussian_overlap,
-    indistinguishable_norm,
     initial_phase_rate,
     modular_indistinguishable,
     modular_mb,
@@ -73,6 +71,7 @@ from .oracles import (
     momentum_first_moment_translated,
     pde_residual,
     trajectory_ode_oracle,
+    two_particle_translation,
 )
 from .windows import OverlapWindow, overlap_window, two_particle_window
 from .config import ConfigError, RunConfig, load_config_file, parse_config_text, resolve_config

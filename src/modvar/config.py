@@ -79,7 +79,12 @@ class RunConfig:
             self.constants()
             self.superposition(self.alphas[0])
             for T in self.temperatures:
-                self.bath(T)
+                # the CL envelopes decay as exp(-D L^2 tau / hbar^2)
+                reach = self.separation / self.hbar
+                if not math.isfinite(self.bath(T).D * reach * reach):
+                    raise OverflowError(
+                        "D L^2 / hbar^2 overflows at gamma = %r, T = %r" % (self.gamma, T)
+                    )
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
         return self

@@ -1,8 +1,9 @@
 """Independent numerical validation of every closed form in the package:
 composite Gauss-Legendre quadrature of the characteristic function,
-translated momentum moments, the expectation-value evolution check, PDE
-residuals, ODE trajectory integration, the moment-ODE non-overlap window,
-and a spectral grid propagator.
+translated momentum moments and the two-particle translation expectation,
+the expectation-value evolution check, PDE residuals, ODE trajectory
+integration, the moment-ODE non-overlap window, and a spectral grid
+propagator.
 
 These routines never reuse the closed-form answers they test; they
 integrate, differentiate, or propagate from more primitive definitions.
@@ -27,6 +28,7 @@ from .params import (
 from .schrodinger import (
     BohmianTrajectory,
     DomainError,
+    _packet_amplitude,
     _superposed_amplitude_dx,
     packet_state,
     superposed_amplitude,
@@ -141,6 +143,36 @@ def momentum_first_moment_translated(source: Source, t: float, ell: float) -> co
     if err > 1e-8:
         raise QuadratureError("moment quadrature error %.3g" % err)
     return (source.c.hbar / 1j) * val
+
+
+def two_particle_translation(terms, ell: float, c: PhysicalConstants) -> complex:
+    """<T_ell (x) 1> in the two-particle state sum_j c_j f_j (x) g_j, given as
+    (c_j, f_j, g_j) product terms of Gaussian packets:
+
+        sum_ij conj(c_i) c_j <f_i|T_ell|f_j> <g_i|g_j>
+        / sum_ij conj(c_i) c_j <f_i|f_j> <g_i|g_j>,
+
+    each 1-D factor integral f*(x) f'(x + shift) dx by the composite
+    Gauss-Legendre kernel on the t = 0 packet amplitudes."""
+
+    def factor(f, g, shift):
+        val, err = _gl_line_integral(
+            lambda x: np.conj(_packet_amplitude(f, c, x, 0.0))
+            * _packet_amplitude(g, c, x + shift, 0.0),
+            [f.x0, g.x0 - shift],
+            min(f.sigma0, g.sigma0),
+        )
+        if err > 1e-10:
+            raise QuadratureError("two-particle factor quadrature error %.3g" % err)
+        return val
+
+    num = den = 0.0j
+    for ci, fi, gi in terms:
+        for cj, fj, gj in terms:
+            weight = ci.conjugate() * cj * factor(gi, gj, 0.0)
+            num += weight * factor(fi, fj, ell)
+            den += weight * factor(fi, fj, 0.0)
+    return num / den
 
 
 _SWEEP_H0 = 1e-3

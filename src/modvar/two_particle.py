@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,33 +23,11 @@ from .params import (
     scaled_time_tau,
 )
 
-_SQRT3 = math.sqrt(3.0)
-
 
 class StatisticsKind(Enum):
     MB = "MB"
     BE = "BE"
     FD = "FD"
-
-
-_TAGS = ("equals-A", "equals-B", "disjoint")
-
-
-@dataclass(frozen=True)
-class CompanionState:
-    """Second-particle state: a Gaussian packet or one of the symbolic tags
-    equals-A, equals-B, disjoint (the last asserts exactly zero overlap with
-    both superposed packets)."""
-
-    chi: GaussianPacket | str
-
-    def __post_init__(self):
-        if isinstance(self.chi, str) and self.chi not in _TAGS:
-            raise ParameterError("unknown companion tag %r" % (self.chi,))
-
-    @property
-    def is_tag(self) -> bool:
-        return isinstance(self.chi, str)
 
 
 def gaussian_overlap(pA: GaussianPacket, pB: GaussianPacket, c: PhysicalConstants) -> complex:
@@ -88,80 +65,43 @@ def modular_mb(spec: SuperpositionSpec, c: PhysicalConstants) -> complex:
     return 0.5 * cmath.exp(1j * spec.alpha) * M
 
 
-def _companion_overlaps(spec, chi: GaussianPacket, c):
-    """(<chi|psi_A>, <chi|psi_B>, <chi|T_L|psi_A>, <chi|T_L|psi_B>)."""
-    cA = gaussian_overlap(chi, spec.packetA, c)
-    cB = gaussian_overlap(chi, spec.packetB, c)
-    tA = translated_matrix_element(chi, spec.packetA, spec.L, c)
-    tB = translated_matrix_element(chi, spec.packetB, spec.L, c)
-    return cA, cB, tA, tB
-
-
-def indistinguishable_norm(
-    spec: SuperpositionSpec,
-    chi: CompanionState,
-    s: StatisticsKind,
-    c: PhysicalConstants,
-) -> float:
-    """N_pm = [2 pm |<chi|psi_A> + e^{i alpha} <chi|psi_B>|^2]^{-1/2}."""
-    if s is StatisticsKind.MB:
-        raise ParameterError("product states need no symmetrization norm")
-    if chi.is_tag:
-        if chi.chi == "disjoint":
-            cross = 0.0
-        else:
-            # equals-A or equals-B: one overlap is 1, the other is negligible
-            cross = 1.0
-    else:
-        cA, cB, _, _ = _companion_overlaps(spec, chi.chi, c)
-        cross = abs(cA + cmath.exp(1j * spec.alpha) * cB) ** 2
-    sign = 1.0 if s is StatisticsKind.BE else -1.0
-    denom = 2.0 + sign * cross
-    if denom <= 1e-12:
-        raise ParameterError("symmetrized state norm vanishes for this companion")
-    return 1.0 / math.sqrt(denom)
-
-
 def modular_indistinguishable(
     spec: SuperpositionSpec,
-    chi: CompanionState,
+    chi: GaussianPacket,
     s: StatisticsKind,
     c: PhysicalConstants,
 ) -> complex:
-    """Particle-1 translation expectation for the symmetrized (BE) or
-    antisymmetrized (FD) two-particle state.
+    """<T_L (x) 1> of particle 1 in psi (x) chi + sign chi (x) psi (sign +1
+    for BE, -1 for FD), psi = (A + e^{i alpha} B)/sqrt(2) and chi a Gaussian
+    companion:
 
-    Symbolic tags take the closed special-case forms; Gaussian companions go
-    through the general cross-term expression.
+        [<psi|T|psi> + <chi|T|chi> + sign <psi|T|chi><chi|psi>
+         + sign <chi|T|psi><psi|chi>] / (2 + 2 sign |<chi|psi>|^2).
+
+    T_L shifts psi(x) -> psi(x + L); each packet is (2 pi sigma0^2)^{-1/4}
+    exp(-(x - x0)^2/4 sigma0^2 + i p0 (x - x0)/hbar).  MB is the product
+    state, where chi drops out.  PAPER.md holds only the paper's abstract, so
+    the paper's own convention cannot be checked here; no observable is known
+    that gives BE/MB = 1/sqrt(3) at chi = B, as N in place of N^2 would.
     """
-    if s is StatisticsKind.MB:
-        # product state: companion drops out entirely
-        return modular_mb(spec, c)
     mb = modular_mb(spec, c)
-    if chi.is_tag:
-        alpha = spec.alpha
-        M = translated_matrix_element(spec.packetA, spec.packetB, spec.L, c)
-        if chi.chi == "disjoint":
-            return 0.5 * mb
-        if chi.chi == "equals-B":
-            return mb / _SQRT3 if s is StatisticsKind.BE else mb
-        # equals-A
-        if s is StatisticsKind.BE:
-            return (
-                0.5
-                / _SQRT3
-                * (2.0 * cmath.exp(1j * alpha) * M + cmath.exp(-1j * alpha) * M.conjugate())
-            )
-        return -0.5 * cmath.exp(-1j * alpha) * M.conjugate()
-    # general Gaussian companion
-    cA, cB, tA, tB = _companion_overlaps(spec, chi.chi, c)
-    alpha = spec.alpha
-    N = indistinguishable_norm(spec, chi, s, c)
-    f = (cA.conjugate() + cmath.exp(-1j * alpha) * cB.conjugate()) / math.sqrt(2.0)
-    g = (tA + cmath.exp(1j * alpha) * tB) / math.sqrt(2.0)
+    if s is StatisticsKind.MB:
+        return mb
     sign = 1.0 if s is StatisticsKind.BE else -1.0
-    cross = f * g
-    return N * N * (mb + sign * (cross + cross.conjugate()))
+    pA, pB = spec.packetA, spec.packetB
+    a, b = 1.0 / math.sqrt(2.0), cmath.exp(1j * spec.alpha) / math.sqrt(2.0)
+
+    def shift(f, g):  # <f|T_L|g>
+        return translated_matrix_element(f, g, spec.L, c)
+
+    overlap = a * gaussian_overlap(chi, pA, c) + b * gaussian_overlap(chi, pB, c)  # <chi|psi>
+    norm = 2.0 + 2.0 * sign * abs(overlap) ** 2
+    if norm <= 1e-12:
+        raise ParameterError("symmetrized state norm vanishes for this companion")
+    exchange = (a * shift(pA, chi) + b.conjugate() * shift(pB, chi)) * overlap + (
+        a * shift(chi, pA) + b * shift(chi, pB)
+    ) * overlap.conjugate()
+    return (mb + shift(chi, chi) + sign * exchange) / norm
 
 
 def reduced_modular_components(

@@ -8,6 +8,7 @@ zero-argument function that returns a `GateResult` record.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -43,8 +44,9 @@ from .oracles import (
     l2_error,
     pde_residual,
     trajectory_ode_oracle,
+    two_particle_translation,
 )
-from .params import BathParams, PhysicalConstants, TimeGrid, make_superposition
+from .params import BathParams, GaussianPacket, PhysicalConstants, TimeGrid, make_superposition
 from .schrodinger import (
     bohmian_trajectory,
     bohmian_velocity,
@@ -55,11 +57,9 @@ from .schrodinger import (
     superposed_density_and_current,
 )
 from .two_particle import (
-    CompanionState,
     StatisticsKind,
     initial_phase_rate,
     modular_indistinguishable,
-    modular_mb,
     reduced_modular_components,
 )
 from .windows import overlap_window
@@ -360,23 +360,27 @@ def gate_continuum_limit():
 
 @criterion(
     "c10",
-    "exchange-statistics ratios",
-    "BE/MB = 1/sqrt(3), FD/MB = 1, disjoint = 1/2, all to 1e-12",
+    "exchange-statistics expectation vs product-term quadrature",
+    "|closed - oracle| <= 1e-12 for BE and FD at companions A, B, far, wide and 3 seeded",
 )
 def gate_two_particle():
     spec = _spec(math.pi / 4)
-    mb = modular_mb(spec, _C)
-    expected = {
-        ("equals-B", StatisticsKind.BE): 1.0 / math.sqrt(3.0),
-        ("equals-B", StatisticsKind.FD): 1.0,
-        ("disjoint", StatisticsKind.BE): 0.5,
-        ("disjoint", StatisticsKind.FD): 0.5,
-    }
-    worst = max(
-        abs(modular_indistinguishable(spec, CompanionState(companion), kind, _C) / mb - ratio)
-        for (companion, kind), ratio in expected.items()
-    )
-    return {"max deviation": worst}, worst <= 1e-12
+    pA, pB = spec.packetA, spec.packetB
+    a, b = 1.0 / math.sqrt(2.0), cmath.exp(1j * spec.alpha) / math.sqrt(2.0)
+    rng = np.random.default_rng(10)
+    # the superposed packets, a far packet, a packet wide enough that
+    # <chi|T_L|chi> is not negligible, and narrow packets
+    companions = [pA, pB, GaussianPacket(10.0 * spec.L, 0.0, 1.0), GaussianPacket(0.0, 0.0, 20.0)]
+    lo, hi = (-spec.L, -1.0, 0.3), (spec.L, 1.0, 3.0)
+    companions += [GaussianPacket(*rng.uniform(lo, hi)) for _ in range(3)]
+    worst = 0.0
+    for chi in companions:
+        for kind, sign in ((StatisticsKind.BE, 1.0), (StatisticsKind.FD, -1.0)):
+            # psi (x) chi + sign chi (x) psi as product terms, psi = a A + b B
+            terms = [(a, pA, chi), (b, pB, chi), (sign * a, chi, pA), (sign * b, chi, pB)]
+            oracle = two_particle_translation(terms, spec.L, _C)
+            worst = max(worst, abs(modular_indistinguishable(spec, chi, kind, _C) - oracle))
+    return {"max |closed - oracle|": worst}, worst <= 1e-12
 
 
 @criterion(

@@ -128,11 +128,17 @@ def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [("figure", "fig4", "--gamma", "1e308"), ("window", "--framework", "cl", "--gamma", "1e308")],
+    [
+        ("figure", "fig4", "--gamma", "1e308"),
+        ("window", "--framework", "cl", "--gamma", "1e308"),
+        ("figure", "fig2", "--temperature", "1e308"),
+        ("figure", "fig3", "--temperature", "1e308"),
+    ],
 )
 def test_overflowing_diffusion_is_one_diagnostic_line(argv, tmp_path):
-    # D = 2 m gamma kB T overflows at the default temperatures: one named
-    # failure, raised before any numpy arithmetic can warn
+    # D = 2 m gamma kB T overflows at the default temperatures, or D is finite
+    # and D L^2 / hbar^2 overflows: one named failure, raised before any numpy
+    # arithmetic can warn
     res = run_cli(*argv, "--out", str(tmp_path))
     assert res.returncode == 1
     assert len(res.stderr.splitlines()) == 1

@@ -1,6 +1,7 @@
 """Independent numerical routes (quadrature, finite differences, spectral
 propagation) that the closed forms are held against."""
 
+import functools
 import importlib.util
 import math
 import os
@@ -33,6 +34,7 @@ from modvar.oracles import (
 )
 from modvar.params import (
     BathParams,
+    GaussianPacket,
     ParameterError,
     PhysicalConstants,
     TimeGrid,
@@ -143,6 +145,62 @@ def test_momentum_moment_zero_translation_is_classical():
     )
     got_cl = momentum_first_moment_translated(src_cl, t, 0.0)
     assert got_cl == pytest.approx(want_cl, abs=1e-9)
+
+
+def _riemann_translation(terms, ell, c):
+    # the expectation of oracles.two_particle_translation, each 1-D factor a
+    # plain Riemann sum on 480 001 points over [-120, 120]
+    xs, dx = np.linspace(-120.0, 120.0, 480001, retstep=True)
+
+    @functools.cache
+    def amplitude(p, shift):
+        x = xs + shift
+        s2 = p.sigma0**2
+        return (2.0 * math.pi * s2) ** -0.25 * np.exp(
+            -((x - p.x0) ** 2) / (4.0 * s2) + 1j * p.p0 * (x - p.x0) / c.hbar
+        )
+
+    def factor(f, g, shift):
+        return np.vdot(amplitude(f, 0.0), amplitude(g, shift)) * dx
+
+    num = den = 0.0j
+    for ci, fi, gi in terms:
+        for cj, fj, gj in terms:
+            weight = np.conj(ci) * cj * factor(gi, gj, 0.0)
+            num += weight * factor(fi, fj, ell)
+            den += weight * factor(fi, fj, 0.0)
+    return num / den
+
+
+def test_two_particle_translation_matches_riemann_sum():
+    # companions A, B and a packet far from both (at 2L, inside the box)
+    c = base_constants()
+    spec = base_spec(math.pi / 4)
+    h = 1.0 / math.sqrt(2.0)
+    e = np.exp(1j * spec.alpha) * h
+    pA, pB = spec.packetA, spec.packetB
+    far = GaussianPacket(x0=2.0 * spec.L, p0=0.0, sigma0=spec.sigma0)
+    for chi in (pA, pB, far):
+        for sign in (1.0, -1.0):
+            terms = [(h, pA, chi), (e, pB, chi), (sign * h, chi, pA), (sign * e, chi, pB)]
+            got = oracles.two_particle_translation(terms, spec.L, c)
+            assert abs(got - _riemann_translation(terms, spec.L, c)) <= 1e-12
+
+
+def test_oracles_bind_no_checked_closed_form():
+    # an oracle that reached the closed form it checks would check nothing
+    checked = {
+        "gaussian_overlap",
+        "translated_matrix_element",
+        "modular_mb",
+        "modular_indistinguishable",
+        "modular_expectation",
+        "cl_modular_closed",
+        "cl_modular_envelope_phase",
+        "reduced_modular_common_bath",
+        "reduced_modular_components",
+    }
+    assert not checked & set(vars(oracles))
 
 
 def test_expectation_evolution_residual():

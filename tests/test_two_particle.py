@@ -13,10 +13,8 @@ from scipy.integrate import quad
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
 from modvar.params import GaussianPacket, ParameterError, make_superposition
 from modvar.two_particle import (
-    CompanionState,
     StatisticsKind,
     gaussian_overlap,
-    indistinguishable_norm,
     initial_phase_rate,
     modular_indistinguishable,
     modular_mb,
@@ -90,99 +88,59 @@ def test_product_state_rejects_overlapping_packets():
         modular_mb(spec, c)
 
 
-def test_symmetrization_norms():
-    c = base_constants()
-    spec = base_spec(0.0)
-    assert indistinguishable_norm(spec, CompanionState("disjoint"), BE, c) == pytest.approx(
-        1.0 / math.sqrt(2.0), rel=1e-14
-    )
-    assert indistinguishable_norm(spec, CompanionState("equals-B"), BE, c) == pytest.approx(
-        1.0 / math.sqrt(3.0), rel=1e-14
-    )
-    assert indistinguishable_norm(spec, CompanionState("equals-B"), FD, c) == pytest.approx(
-        1.0, rel=1e-14
-    )
-    with pytest.raises(ParameterError):
-        indistinguishable_norm(spec, CompanionState("disjoint"), MB, c)
+def _companions(spec):
+    """The superposed packets themselves and a packet far from both."""
+    return {
+        "A": spec.packetA,
+        "B": spec.packetB,
+        "far": GaussianPacket(x0=10.0 * spec.L, p0=0.0, sigma0=spec.sigma0),
+    }
 
 
-def test_tag_ratios():
+def test_companion_ratios():
+    # <T_L (x) 1>/MB in psi (x) chi +- chi (x) psi: (1 +- 1)/(2 +- 1) when chi
+    # is one of the superposed packets, 1/2 when it overlaps neither
     c = base_constants()
     spec = base_spec(math.pi / 4)
     mb = modular_mb(spec, c)
-    disjoint = CompanionState("disjoint")
-    same_b = CompanionState("equals-B")
-    assert modular_indistinguishable(spec, disjoint, BE, c) == pytest.approx(0.5 * mb, rel=1e-14)
-    assert modular_indistinguishable(spec, disjoint, FD, c) == pytest.approx(0.5 * mb, rel=1e-14)
-    assert modular_indistinguishable(spec, same_b, BE, c) == pytest.approx(
-        mb / math.sqrt(3.0), rel=1e-14
-    )
-    assert modular_indistinguishable(spec, same_b, FD, c) == pytest.approx(mb, rel=1e-14)
-    # companion identical to the translated packet flips the role of the
-    # conjugated element for fermions
-    M = translated_matrix_element(spec.packetA, spec.packetB, spec.L, c)
-    want_fd = -0.5 * cmath.exp(-1j * spec.alpha) * M.conjugate()
-    assert modular_indistinguishable(spec, CompanionState("equals-A"), FD, c) == pytest.approx(
-        want_fd, rel=1e-14
-    )
-    want_be = (
-        0.5
-        / math.sqrt(3.0)
-        * (2.0 * cmath.exp(1j * spec.alpha) * M + cmath.exp(-1j * spec.alpha) * M.conjugate())
-    )
-    assert modular_indistinguishable(spec, CompanionState("equals-A"), BE, c) == pytest.approx(
-        want_be, rel=1e-14
-    )
+    want = {("A", BE): 2.0 / 3.0, ("A", FD): 0.0, ("B", BE): 2.0 / 3.0, ("B", FD): 0.0,
+            ("far", BE): 0.5, ("far", FD): 0.5}
+    companions = _companions(spec)
+    for (name, s), ratio in want.items():
+        got = modular_indistinguishable(spec, companions[name], s, c) / mb
+        assert abs(got - ratio) <= 1e-12, (name, s)
 
 
 def test_general_companion_far_away_matches_disjoint():
     c = base_constants()
     spec = base_spec(math.pi / 4)
     mb = modular_mb(spec, c)
-    remote = CompanionState(GaussianPacket(x0=400.0, p0=0.0, sigma0=1.0))
+    remote = GaussianPacket(x0=400.0, p0=0.0, sigma0=1.0)
     for s in (BE, FD):
         got = modular_indistinguishable(spec, remote, s, c)
         assert got == pytest.approx(0.5 * mb, rel=1e-10)
 
 
-def test_general_companion_equal_to_right_packet():
-    # the explicit-overlap branch keeps the full cross term, so BE lands on
-    # mb/3 rather than the tag's mb/sqrt(3); FD coincides with the tag
-    c = base_constants()
-    spec = base_spec(math.pi / 4)
-    mb = modular_mb(spec, c)
-    chi = CompanionState(GaussianPacket(x0=spec.packetB.x0, p0=spec.packetB.p0, sigma0=spec.sigma0))
-    got_fd = modular_indistinguishable(spec, chi, FD, c)
-    assert got_fd == pytest.approx(mb, rel=1e-10)
-    got_be = modular_indistinguishable(spec, chi, BE, c)
-    assert got_be == pytest.approx(mb / 3.0, rel=1e-10)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     alpha=st.floats(0.0, 2.0 * math.pi),
-    tag=st.sampled_from(["disjoint", "equals-B"]),
+    companion=st.sampled_from(["A", "B", "far"])
+    | st.builds(
+        GaussianPacket,
+        x0=st.floats(-60.0, 60.0),
+        p0=st.floats(-1.0, 1.0),
+        sigma0=st.floats(0.3, 3.0),
+    ),
     s=st.sampled_from([MB, BE, FD]),
 )
-def test_translation_bound(alpha, tag, s):
-    # |<T_L>| <= 1/2 for every single-packet-supported companion; the
-    # equals-A BE branch is excluded because its closed form exceeds the
-    # bound by construction
+def test_translation_bound(alpha, companion, s):
+    # |<T_L (x) 1>| <= 1/2 for every single-Gaussian companion
     c = base_constants()
     spec = base_spec(alpha)
-    if s is MB:
-        val = modular_mb(spec, c)
-    else:
-        val = modular_indistinguishable(spec, CompanionState(tag), s, c)
+    if isinstance(companion, str):
+        companion = _companions(spec)[companion]
+    val = modular_indistinguishable(spec, companion, s, c)
     assert abs(val) <= 0.5 + 1e-12
-
-
-def test_fermionic_equal_companion_bounded():
-    c = base_constants()
-    for alpha in np.linspace(0.0, 2.0 * math.pi, 13):
-        spec = base_spec(alpha)
-        val = modular_indistinguishable(spec, CompanionState("equals-A"), FD, c)
-        assert abs(val) <= 0.5 + 1e-12
 
 
 def test_common_bath_initial_value():
@@ -229,7 +187,3 @@ def test_initial_phase_rate_value():
     b = make_bath(0.005, 15.0)
     assert initial_phase_rate(spec, b, c) == pytest.approx(-149.975, rel=1e-12)
 
-
-def test_unknown_companion_tag_rejected():
-    with pytest.raises(ParameterError):
-        CompanionState("equals-C")
