@@ -97,14 +97,13 @@ def _companions(spec):
     }
 
 
-def test_companion_ratios():
+def test_tag_ratios():
     # <T_L (x) 1>/MB in psi (x) chi +- chi (x) psi: (1 +- 1)/(2 +- 1) when chi
-    # is one of the superposed packets, 1/2 when it overlaps neither
+    # is the translated packet A, 1/2 when it overlaps neither packet
     c = base_constants()
     spec = base_spec(math.pi / 4)
     mb = modular_mb(spec, c)
-    want = {("A", BE): 2.0 / 3.0, ("A", FD): 0.0, ("B", BE): 2.0 / 3.0, ("B", FD): 0.0,
-            ("far", BE): 0.5, ("far", FD): 0.5}
+    want = {("A", BE): 2.0 / 3.0, ("A", FD): 0.0, ("far", BE): 0.5, ("far", FD): 0.5}
     companions = _companions(spec)
     for (name, s), ratio in want.items():
         got = modular_indistinguishable(spec, companions[name], s, c) / mb
@@ -119,6 +118,17 @@ def test_general_companion_far_away_matches_disjoint():
     for s in (BE, FD):
         got = modular_indistinguishable(spec, remote, s, c)
         assert got == pytest.approx(0.5 * mb, rel=1e-10)
+
+
+def test_general_companion_equal_to_right_packet():
+    # a companion built to coincide with packet B: the exchange term doubles
+    # the bosonic signal's numerator (ratio 2/3) and cancels the fermionic one
+    c = base_constants()
+    spec = base_spec(math.pi / 4)
+    mb = modular_mb(spec, c)
+    chi = GaussianPacket(x0=spec.packetB.x0, p0=spec.packetB.p0, sigma0=spec.sigma0)
+    assert abs(modular_indistinguishable(spec, chi, BE, c) / mb - 2.0 / 3.0) <= 1e-12
+    assert abs(modular_indistinguishable(spec, chi, FD, c) / mb) <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,6 +151,14 @@ def test_translation_bound(alpha, companion, s):
         companion = _companions(spec)[companion]
     val = modular_indistinguishable(spec, companion, s, c)
     assert abs(val) <= 0.5 + 1e-12
+
+
+def test_fermionic_equal_companion_bounded():
+    c = base_constants()
+    for alpha in np.linspace(0.0, 2.0 * math.pi, 13):
+        spec = base_spec(alpha)
+        val = modular_indistinguishable(spec, spec.packetA, FD, c)
+        assert abs(val) <= 0.5 + 1e-12
 
 
 def test_common_bath_initial_value():
