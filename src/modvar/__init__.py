@@ -51,7 +51,6 @@ from .two_particle import (
     gaussian_overlap,
     initial_phase_rate,
     modular_indistinguishable,
-    modular_mb,
     reduced_modular_common_bath,
     reduced_modular_components,
     translated_matrix_element,

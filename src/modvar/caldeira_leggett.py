@@ -47,10 +47,12 @@ def _width_bracket_over_u3(u):
     """(3 + e^{-2u} - 4 e^{-u} - 2u) / u^3, stable for all u >= 0."""
     u = np.asarray(u, dtype=float)
     small = u <= 0.5
-    # series sum_{n>=3} c_n u^{n-3}; 14 terms keep full precision up to the switch
+    # series sum_{n>=3} c_n u^{n-3}; 14 terms keep full precision up to the
+    # switch.  Evaluated only on its own entries: elsewhere it would overflow.
+    us = np.where(small, u, 0.0)
     acc = np.zeros_like(u)
     for cn in reversed(_BRACKET_COEFFS):
-        acc = acc * u + cn
+        acc = acc * us + cn
     with np.errstate(divide="ignore", invalid="ignore"):
         closed = (3.0 + np.exp(-2.0 * u) - 4.0 * np.exp(-u) - 2.0 * u) / u**3
     out = np.where(small, acc, closed)

@@ -155,6 +155,7 @@ def two_particle_translation(terms, ell: float, c: PhysicalConstants) -> complex
     each 1-D factor integral f*(x) f'(x + shift) dx by the composite
     Gauss-Legendre kernel on the t = 0 packet amplitudes."""
 
+    @functools.cache  # packets are frozen dataclasses; terms repeat factors
     def factor(f, g, shift):
         val, err = _gl_line_integral(
             lambda x: np.conj(_packet_amplitude(f, c, x, 0.0))

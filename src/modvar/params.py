@@ -174,10 +174,13 @@ def scaled_time_tau(gamma: float, t):
     if gamma == 0.0:
         out = t.copy()
     else:
-        gt = gamma * t
+        small = gamma * t < _TAU_SWITCH
+        # the series only on its own entries: elsewhere it would overflow
+        ts = np.where(small, t, 0.0)
+        gt = gamma * ts
         # tau = t (1 - g t + (2/3)(g t)^2 - (1/3)(g t)^3 + (2/15)(g t)^4)
-        series = t * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
-        out = np.where(gt < _TAU_SWITCH, series, -np.expm1(-2.0 * gamma * t) / (2.0 * gamma))
+        series = ts * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
+        out = np.where(small, series, -np.expm1(-2.0 * gamma * t) / (2.0 * gamma))
     return float_if_scalar(out)
 
 
@@ -192,10 +195,12 @@ def friction_drift(gamma: float, t):
     if gamma == 0.0:
         out = 0.5 * t * t
     else:
-        gt = gamma * t
+        small = gamma * t < _TAU_SWITCH
+        ts = np.where(small, t, 0.0)
+        gt = gamma * ts
         # (t - tau)/(2 gamma) = t^2 (1/2 - gt/3 + gt^2/6 - gt^3/15 + gt^4/45)
-        series = t * t * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
-        out = np.where(gt < _TAU_SWITCH, series, (t - scaled_time_tau(gamma, t)) / (2.0 * gamma))
+        series = ts * ts * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
+        out = np.where(small, series, (t - scaled_time_tau(gamma, t)) / (2.0 * gamma))
     return float_if_scalar(out)
 
 

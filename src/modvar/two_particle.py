@@ -53,16 +53,21 @@ def translated_matrix_element(
     return gaussian_overlap(pA, shifted, c)
 
 
-def modular_mb(spec: SuperpositionSpec, c: PhysicalConstants) -> complex:
-    """Distinguishable (product-state) translation expectation: only the
-    cross term survives for non-overlapping packets."""
-    overlap = abs(gaussian_overlap(spec.packetA, spec.packetB, c))
-    if overlap >= 1e-12:
-        raise ParameterError(
-            "packets overlap (|<A|B>| = %.3g); product-state cross-term form invalid" % overlap
-        )
-    M = translated_matrix_element(spec.packetA, spec.packetB, spec.L, c)
-    return 0.5 * cmath.exp(1j * spec.alpha) * M
+def _translation_over_terms(terms, ell: float, c: PhysicalConstants) -> complex:
+    """<T_ell (x) 1> in the two-particle state sum_j c_j f_j (x) g_j, given as
+    (c_j, f_j, g_j) product terms of Gaussian packets:
+
+        sum_ij conj(c_i) c_j <f_i|T_ell|f_j> <g_i|g_j>
+        / sum_ij conj(c_i) c_j <f_i|f_j> <g_i|g_j>."""
+    num = den = 0.0j
+    for ci, fi, gi in terms:
+        for cj, fj, gj in terms:
+            weight = ci.conjugate() * cj * gaussian_overlap(gi, gj, c)
+            num += weight * translated_matrix_element(fi, fj, ell, c)
+            den += weight * gaussian_overlap(fi, fj, c)
+    if abs(den) <= 1e-12:
+        raise ParameterError("two-particle state norm vanishes for this companion")
+    return num / den
 
 
 def modular_indistinguishable(
@@ -71,37 +76,25 @@ def modular_indistinguishable(
     s: StatisticsKind,
     c: PhysicalConstants,
 ) -> complex:
-    """<T_L (x) 1> of particle 1 in psi (x) chi + sign chi (x) psi (sign +1
-    for BE, -1 for FD), psi = (A + e^{i alpha} B)/sqrt(2) and chi a Gaussian
-    companion:
-
-        [<psi|T|psi> + <chi|T|chi> + sign <psi|T|chi><chi|psi>
-         + sign <chi|T|psi><psi|chi>] / (2 + 2 sign |<chi|psi>|^2).
+    """<T_L (x) 1> of particle 1 in the product state psi (x) chi (MB) or in
+    psi (x) chi + sign chi (x) psi (sign +1 for BE, -1 for FD), with
+    psi = (A + e^{i alpha} B)/sqrt(2) and chi a Gaussian companion.  For
+    packets A, B that do not overlap the norm is 1 for MB and
+    2 + 2 sign |<chi|psi>|^2 for BE/FD; a norm <= 1e-12 raises ParameterError.
 
     T_L shifts psi(x) -> psi(x + L); each packet is (2 pi sigma0^2)^{-1/4}
-    exp(-(x - x0)^2/4 sigma0^2 + i p0 (x - x0)/hbar).  MB is the product
-    state, where chi drops out.  PAPER.md holds only the paper's abstract, so
-    the paper's own convention cannot be checked here; no observable is known
-    that gives BE/MB = 1/sqrt(3) at chi = B, as N in place of N^2 would.
+    exp(-(x - x0)^2/4 sigma0^2 + i p0 (x - x0)/hbar).  PAPER.md holds only
+    the paper's abstract, so the paper's own convention cannot be checked
+    here; no observable is known that gives BE/MB = 1/sqrt(3) at chi = B, as
+    N in place of N^2 would.
     """
-    mb = modular_mb(spec, c)
-    if s is StatisticsKind.MB:
-        return mb
-    sign = 1.0 if s is StatisticsKind.BE else -1.0
     pA, pB = spec.packetA, spec.packetB
     a, b = 1.0 / math.sqrt(2.0), cmath.exp(1j * spec.alpha) / math.sqrt(2.0)
-
-    def shift(f, g):  # <f|T_L|g>
-        return translated_matrix_element(f, g, spec.L, c)
-
-    overlap = a * gaussian_overlap(chi, pA, c) + b * gaussian_overlap(chi, pB, c)  # <chi|psi>
-    norm = 2.0 + 2.0 * sign * abs(overlap) ** 2
-    if norm <= 1e-12:
-        raise ParameterError("symmetrized state norm vanishes for this companion")
-    exchange = (a * shift(pA, chi) + b.conjugate() * shift(pB, chi)) * overlap + (
-        a * shift(chi, pA) + b * shift(chi, pB)
-    ) * overlap.conjugate()
-    return (mb + shift(chi, chi) + sign * exchange) / norm
+    terms = [(a, pA, chi), (b, pB, chi)]
+    if s is not StatisticsKind.MB:
+        sign = 1.0 if s is StatisticsKind.BE else -1.0
+        terms += [(sign * a, chi, pA), (sign * b, chi, pB)]
+    return _translation_over_terms(terms, spec.L, c)
 
 
 def reduced_modular_components(

@@ -15,6 +15,7 @@ single-packet window at rate 2 gamma with D unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .params import (
@@ -45,7 +46,11 @@ def _solve_window(spec, gamma, D, c, s, criterion) -> OverlapWindow:
 
     def gap(t):
         _, w, tau = _center_width(spec.packetA, gamma, D, c, t)
-        return -spec.L - hk_over_m * tau + 2.0 * s * float(w)
+        value = -spec.L - hk_over_m * tau + 2.0 * s * float(w)
+        # a NaN gap compares as neither side of zero and would steer the bisection
+        if not math.isfinite(value):
+            raise DomainError("support gap is not finite at t = %g" % t)
+        return value
 
     if gap(0.0) >= 0.0:
         raise DomainError("packets already overlap at t = 0 for this support factor")

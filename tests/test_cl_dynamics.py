@@ -3,6 +3,7 @@ local displacement values and coherence measures."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
 from modvar.caldeira_leggett import (
     _abs_on_grid,
+    _width_bracket_over_u3,
     _blob_rectangles,
     _eval_parts,
     _term_parts,
@@ -324,6 +326,25 @@ def test_array_t_equals_scalar_calls(name, gamma):
     scalars = [f(gamma, float(t)) for t in ts]
     assert all(type(v) is float for v in scalars)
     np.testing.assert_array_equal(f(gamma, ts), scalars)
+
+
+@pytest.mark.parametrize("gamma", [1e30, 1e80])
+def test_series_branches_do_not_overflow(gamma):
+    # t spans both sides of each series/closed switch; the series must not be
+    # evaluated, and overflow, on the entries the closed form takes
+    ts = np.concatenate(([0.0], np.logspace(-120.0, 2.0, 62)))
+    funcs = {
+        "tau": lambda t: scaled_time_tau(gamma, t),
+        "drift": lambda t: friction_drift(gamma, t),
+        "bracket": lambda t: _width_bracket_over_u3(2.0 * gamma * t),
+    }
+    assert (gamma * ts < 1e-4).any() and (2.0 * gamma * ts > 0.5).any()
+    for name, f in funcs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(ts)
+            np.testing.assert_array_equal(values, [f(float(t)) for t in ts], err_msg=name)
+        assert np.isfinite(values).all(), name
 
 
 def test_scalar_t_matches_array_t_within_rounding():

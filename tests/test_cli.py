@@ -112,12 +112,14 @@ def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):
         ("figure", "fig1", "--gamma", "1e308", "--temperature", "1e308"),
         ("window", "--framework", "cl", "--sigma0", "1e-200"),
         ("window", "--framework", "cl", "--sigma0", "1e200"),
+        ("window", "--framework", "cl", "--gamma", "5e307", "--temperature", "1e-300"),
     ],
 )
 def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
     # finite input past what double precision carries: a window below the
-    # solver's resolution, NaN columns (in fig1's third of four files), or an
-    # overflowing width
+    # solver's resolution, NaN columns (in fig1's third of four files), an
+    # overflowing width, or a support gap that turns NaN (from t = 0.9 at
+    # gamma = 5e307), which the bisection must not read as overlap
     res = run_cli(*argv, "--out", str(tmp_path))
     assert res.returncode == 1
     assert "numerical failure" in res.stderr

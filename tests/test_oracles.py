@@ -192,8 +192,8 @@ def test_oracles_bind_no_checked_closed_form():
     checked = {
         "gaussian_overlap",
         "translated_matrix_element",
-        "modular_mb",
         "modular_indistinguishable",
+        "_translation_over_terms",
         "modular_expectation",
         "cl_modular_closed",
         "cl_modular_envelope_phase",

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import BASE, base_constants, base_spec, golden_record, make_bath
-from modvar.params import GaussianPacket, ParameterError, make_superposition
+from modvar.oracles import two_particle_translation
+from modvar.params import GaussianPacket, make_superposition
 from modvar.two_particle import (
     StatisticsKind,
     gaussian_overlap,
     initial_phase_rate,
     modular_indistinguishable,
-    modular_mb,
     reduced_modular_common_bath,
     reduced_modular_components,
     translated_matrix_element,
@@ -78,14 +78,20 @@ def test_product_state_value():
     for alpha in (0.0, math.pi / 4, 2.1):
         spec = base_spec(alpha)
         M = translated_matrix_element(spec.packetA, spec.packetB, spec.L, c)
-        assert modular_mb(spec, c) == pytest.approx(0.5 * cmath.exp(1j * alpha) * M, abs=1e-15)
+        mb = modular_indistinguishable(spec, spec.packetA, MB, c)
+        assert mb == pytest.approx(0.5 * cmath.exp(1j * alpha) * M, abs=1e-15)
 
 
-def test_product_state_rejects_overlapping_packets():
+def test_product_state_overlapping_packets_match_oracle():
+    # the product-term sum is exact where the packets overlap
     c = base_constants()
-    spec = make_superposition(L=2.0, sigma0=1.0, k=0.1, alpha=0.0)
-    with pytest.raises(ParameterError):
-        modular_mb(spec, c)
+    for L in (2.0, 4.0):
+        spec = make_superposition(L=L, sigma0=1.0, k=0.1, alpha=math.pi / 4)
+        pA, pB = spec.packetA, spec.packetB
+        b = cmath.exp(1j * spec.alpha) / math.sqrt(2.0)
+        terms = [(1.0 / math.sqrt(2.0), pA, pA), (b, pB, pA)]
+        want = two_particle_translation(terms, spec.L, c)
+        assert abs(modular_indistinguishable(spec, pA, MB, c) - want) <= 1e-12
 
 
 def _companions(spec):
@@ -102,7 +108,7 @@ def test_tag_ratios():
     # is the translated packet A, 1/2 when it overlaps neither packet
     c = base_constants()
     spec = base_spec(math.pi / 4)
-    mb = modular_mb(spec, c)
+    mb = modular_indistinguishable(spec, spec.packetA, MB, c)
     want = {("A", BE): 2.0 / 3.0, ("A", FD): 0.0, ("far", BE): 0.5, ("far", FD): 0.5}
     companions = _companions(spec)
     for (name, s), ratio in want.items():
@@ -113,7 +119,7 @@ def test_tag_ratios():
 def test_general_companion_far_away_matches_disjoint():
     c = base_constants()
     spec = base_spec(math.pi / 4)
-    mb = modular_mb(spec, c)
+    mb = modular_indistinguishable(spec, spec.packetA, MB, c)
     remote = GaussianPacket(x0=400.0, p0=0.0, sigma0=1.0)
     for s in (BE, FD):
         got = modular_indistinguishable(spec, remote, s, c)
@@ -125,7 +131,7 @@ def test_general_companion_equal_to_right_packet():
     # the bosonic signal's numerator (ratio 2/3) and cancels the fermionic one
     c = base_constants()
     spec = base_spec(math.pi / 4)
-    mb = modular_mb(spec, c)
+    mb = modular_indistinguishable(spec, spec.packetA, MB, c)
     chi = GaussianPacket(x0=spec.packetB.x0, p0=spec.packetB.p0, sigma0=spec.sigma0)
     assert abs(modular_indistinguishable(spec, chi, BE, c) / mb - 2.0 / 3.0) <= 1e-12
     assert abs(modular_indistinguishable(spec, chi, FD, c) / mb) <= 1e-12
