@@ -3,7 +3,6 @@ local displacement values and coherence measures."""
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -331,20 +330,16 @@ def test_array_t_equals_scalar_calls(name, gamma):
 @pytest.mark.parametrize("gamma", [1e30, 1e80])
 def test_series_branches_do_not_overflow(gamma):
     # t spans both sides of each series/closed switch; the series must not be
-    # evaluated, and overflow, on the entries the closed form takes
+    # evaluated on the entries the closed form takes, where it would overflow
+    # (an overflow warning is an error under the suite's warning filter)
     ts = np.concatenate(([0.0], np.logspace(-120.0, 2.0, 62)))
-    funcs = {
-        "tau": lambda t: scaled_time_tau(gamma, t),
-        "drift": lambda t: friction_drift(gamma, t),
-        "bracket": lambda t: _width_bracket_over_u3(2.0 * gamma * t),
-    }
-    assert (gamma * ts < 1e-4).any() and (2.0 * gamma * ts > 0.5).any()
-    for name, f in funcs.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = f(ts)
-            np.testing.assert_array_equal(values, [f(float(t)) for t in ts], err_msg=name)
-        assert np.isfinite(values).all(), name
+    u = 2.0 * gamma * ts
+    assert (gamma * ts < 1e-4).any() and (u > 0.5).any()
+    for f in (scaled_time_tau, friction_drift):
+        assert np.isfinite(f(gamma, ts)).all(), f.__name__
+    bracket = _width_bracket_over_u3(u)
+    assert np.isfinite(bracket).all()
+    np.testing.assert_array_equal(bracket, [float(_width_bracket_over_u3(v)) for v in u])
 
 
 def test_scalar_t_matches_array_t_within_rounding():
