@@ -27,8 +27,9 @@ from .params import (
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
+    _branchwise,
+    _tau_and_drift,
     float_if_scalar,
-    friction_drift,
     scaled_time_tau,
 )
 from .schrodinger import BohmianTrajectory, DomainError
@@ -46,17 +47,21 @@ _BRACKET_COEFFS = [
 def _width_bracket_over_u3(u):
     """(3 + e^{-2u} - 4 e^{-u} - 2u) / u^3, stable for all u >= 0."""
     u = np.asarray(u, dtype=float)
-    small = u <= 0.5
-    # series sum_{n>=3} c_n u^{n-3}; 14 terms keep full precision up to the
-    # switch.  Evaluated only on its own entries: elsewhere it would overflow.
-    us = np.where(small, u, 0.0)
-    acc = np.zeros_like(u)
-    for cn in reversed(_BRACKET_COEFFS):
-        acc = acc * us + cn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        closed = (3.0 + np.exp(-2.0 * u) - 4.0 * np.exp(-u) - 2.0 * u) / u**3
-    out = np.where(small, acc, closed)
-    return float_if_scalar(out)
+
+    def series(us):
+        # sum_{n>=3} c_n u^{n-3} by Horner; 14 terms keep full precision up to
+        # the switch.  A scalar u runs on a Python float, which rounds each
+        # product and sum as numpy does, at a fraction of a numpy scalar's cost.
+        x = us if us.ndim else float(us)
+        acc = _BRACKET_COEFFS[-1]
+        for cn in reversed(_BRACKET_COEFFS[:-1]):
+            acc = acc * x + cn
+        return acc
+
+    def closed(uc):
+        return (3.0 + np.exp(-2.0 * uc) - 4.0 * np.exp(-uc) - 2.0 * uc) / uc**3
+
+    return float_if_scalar(_branchwise(u <= 0.5, series, closed, u))
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class PacketStateCL:
 
 
 def _center_width(p: GaussianPacket, gamma: float, D: float, c: PhysicalConstants, ts):
-    """Vectorized center and width of one packet for a given rate/diffusion.
+    """Vectorized center and width of one packet for a given rate/diffusion,
+    with the scaled time tau and the friction drift they are built from.
 
     Kept separate from the bath object so window solvers can rescale the
     rate while holding D fixed.
@@ -78,22 +84,21 @@ def _center_width(p: GaussianPacket, gamma: float, D: float, c: PhysicalConstant
     ts = np.asarray(ts, dtype=float)
     m, hbar, g = c.m, c.hbar, c.g
     s0 = p.sigma0
-    tau = scaled_time_tau(gamma, ts)
-    drift = friction_drift(gamma, ts)
+    tau, drift = _tau_and_drift(gamma, ts)
     x_t = p.x0 + p.p0 * tau / m - g * drift
     # diffusive broadening: -(bracket) D/(8 m^2 gamma^3) = -D t^3 h(u)/m^2, u = 2 gamma t
     u = 2.0 * gamma * ts
     w_sq = s0**2 * (1.0 + (hbar * tau) ** 2 / (4.0 * m**2 * s0**4)) \
         - D * ts**3 * _width_bracket_over_u3(u) / m**2
     w_t = np.sqrt(w_sq)
-    return x_t, w_t, tau
+    return x_t, w_t, tau, drift
 
 
 def cl_packet_state(
     p: GaussianPacket, b: BathParams, c: PhysicalConstants, t: float
 ) -> PacketStateCL:
     """Evolve one packet's center and width under friction and diffusion."""
-    x_t, w_t, tau = _center_width(p, b.gamma, b.D, c, t)
+    x_t, w_t, tau, _ = _center_width(p, b.gamma, b.D, c, t)
     return PacketStateCL(x_t=float(x_t), w_t=float(w_t), tau=float(tau))
 
 
@@ -102,7 +107,7 @@ def cl_bohmian_trajectory(
 ) -> BohmianTrajectory:
     """X(t) = x_t + (X0 - x0) w_t / sigma0 on the grid."""
     ts = grid.times()
-    x_t, w_t, _ = _center_width(p, b.gamma, b.D, c, ts)
+    x_t, w_t, _, _ = _center_width(p, b.gamma, b.D, c, ts)
     X = x_t + (X0 - p.x0) * w_t / p.sigma0
     return BohmianTrajectory(X0=X0, samples=np.column_stack([ts, X]))
 
@@ -122,9 +127,8 @@ def _term_parts(spec, b, c, t, h_coeff=None):
     h = c.hbar if h_coeff is None else h_coeff
     t = np.asarray(t, dtype=float)
 
-    _, w, tau = _center_width(spec.packetA, gamma, D, c, t)
+    _, w, tau, drift = _center_width(spec.packetA, gamma, D, c, t)
     tau4 = scaled_time_tau(2.0 * gamma, t)  # (1 - e^{-4 gamma t}) / (4 gamma)
-    drift = friction_drift(gamma, t)
     e2 = np.exp(-2.0 * gamma * t)
 
     quad = -(D * tau4 / hbar**2 + e2 * e2 / (8.0 * s0**2))

@@ -247,7 +247,7 @@ def _sample_supports(framework, spec, b, c, n):
         st_a, st_b = (packet_state(p, c, t) for p in (spec.packetA, spec.packetB))
         x_t = np.where(in_a, st_a.x_t, st_b.x_t)
         return x_t + offset * np.where(in_a, st_a.sigma_t, st_b.sigma_t), t
-    (x_a, w_a, _), (x_b, w_b, _) = (
+    (x_a, w_a, _, _), (x_b, w_b, _, _) = (
         _center_width(p, b.gamma, b.D, c, t) for p in (spec.packetA, spec.packetB)
     )
     R = np.where(in_a, x_a, x_b) + offset * np.where(in_a, w_a, w_b)

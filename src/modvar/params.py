@@ -158,6 +158,27 @@ def float_if_scalar(x):
     return x if np.ndim(x) else float(x)
 
 
+def _branchwise(small, series, closed, *args):
+    """series(*args) on the entries where the boolean array small holds and
+    closed(*args) on the others.
+
+    Each branch sees only its own entries of the arrays args, which share
+    small's shape, so neither branch overflows or divides by zero on an
+    entry that the other takes; a branch that no entry selects is not
+    evaluated.  A 0-d mask always selects one branch whole, and that branch
+    then gets args unchanged.
+    """
+    n_small = np.count_nonzero(small)
+    if n_small == np.size(small):
+        return series(*args)
+    if n_small == 0:
+        return closed(*args)
+    out = np.empty(np.shape(small))
+    for mask, branch in ((small, series), (~small, closed)):
+        out[mask] = branch(*(a[mask] for a in args))
+    return out
+
+
 # Below gamma*t = 1e-4 the closed form 1 - e^{-2 gamma t} loses digits to
 # cancellation, so a short series takes over; both branches carry >= 12
 # significant digits at the switch.
@@ -172,16 +193,36 @@ def scaled_time_tau(gamma: float, t):
     """
     t = np.asarray(t, dtype=float)
     if gamma == 0.0:
-        out = t.copy()
-    else:
-        small = gamma * t < _TAU_SWITCH
-        # the series only on its own entries: elsewhere it would overflow
-        ts = np.where(small, t, 0.0)
+        return float_if_scalar(t.copy())
+
+    def series(ts):
         gt = gamma * ts
         # tau = t (1 - g t + (2/3)(g t)^2 - (1/3)(g t)^3 + (2/15)(g t)^4)
-        series = ts * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
-        out = np.where(small, series, -np.expm1(-2.0 * gamma * t) / (2.0 * gamma))
-    return float_if_scalar(out)
+        return ts * (1.0 + gt * (-1.0 + gt * (2.0 / 3.0 + gt * (-1.0 / 3.0 + gt * 2.0 / 15.0))))
+
+    def closed(tc):
+        return -np.expm1(-2.0 * gamma * tc) / (2.0 * gamma)
+
+    return float_if_scalar(_branchwise(gamma * t < _TAU_SWITCH, series, closed, t))
+
+
+def _tau_and_drift(gamma: float, t):
+    """scaled_time_tau(gamma, t) and friction_drift(gamma, t), the drift's
+    closed form taken from that one tau."""
+    t = np.asarray(t, dtype=float)
+    tau = scaled_time_tau(gamma, t)
+    if gamma == 0.0:
+        return tau, float_if_scalar(0.5 * t * t)
+
+    def series(ts, _):
+        gt = gamma * ts
+        # (t - tau)/(2 gamma) = t^2 (1/2 - gt/3 + gt^2/6 - gt^3/15 + gt^4/45)
+        return ts * ts * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
+
+    def closed(tc, tau_c):
+        return (tc - tau_c) / (2.0 * gamma)
+
+    return tau, float_if_scalar(_branchwise(gamma * t < _TAU_SWITCH, series, closed, t, tau))
 
 
 def friction_drift(gamma: float, t):
@@ -191,17 +232,7 @@ def friction_drift(gamma: float, t):
     same switch threshold as scaled_time_tau.  Takes a scalar or an array of
     t and returns a float for scalar t.
     """
-    t = np.asarray(t, dtype=float)
-    if gamma == 0.0:
-        out = 0.5 * t * t
-    else:
-        small = gamma * t < _TAU_SWITCH
-        ts = np.where(small, t, 0.0)
-        gt = gamma * ts
-        # (t - tau)/(2 gamma) = t^2 (1/2 - gt/3 + gt^2/6 - gt^3/15 + gt^4/45)
-        series = ts * ts * (0.5 + gt * (-1.0 / 3.0 + gt * (1.0 / 6.0 + gt * (-1.0 / 15.0 + gt / 45.0))))
-        out = np.where(small, series, (t - scaled_time_tau(gamma, t)) / (2.0 * gamma))
-    return float_if_scalar(out)
+    return _tau_and_drift(gamma, t)[1]
 
 
 def validate_regime(c: PhysicalConstants, b: BathParams) -> list[str]:

@@ -45,7 +45,7 @@ def _solve_window(spec, gamma, D, c, s, criterion) -> OverlapWindow:
     hk_over_m = c.hbar * spec.k / c.m
 
     def gap(t):
-        _, w, tau = _center_width(spec.packetA, gamma, D, c, t)
+        _, w, tau, _ = _center_width(spec.packetA, gamma, D, c, t)
         value = -spec.L - hk_over_m * tau + 2.0 * s * float(w)
         # a NaN gap compares as neither side of zero and would steer the bisection
         if not math.isfinite(value):

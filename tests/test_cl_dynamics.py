@@ -312,6 +312,8 @@ _VECTORIZED = {
         base_spec(0.3), make_bath(gamma, 0.005), base_constants(), t
     ),
     "modular_expectation": lambda gamma, t: modular_expectation(base_spec(0.3), base_constants(), t),
+    # crosses its series/closed switch u = 0.5 at t = 2.5 when gamma = 0.1
+    "width_bracket": lambda gamma, t: _width_bracket_over_u3(2.0 * gamma * t),
 }
 
 

@@ -113,17 +113,20 @@ def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):
         ("window", "--framework", "cl", "--sigma0", "1e-200"),
         ("window", "--framework", "cl", "--sigma0", "1e200"),
         ("window", "--framework", "cl", "--gamma", "5e307", "--temperature", "1e-300"),
+        ("window", "--framework", "cl", "--gamma", "1e101", "--temperature", "1e-50"),
+        ("figure", "fig4", "--gamma", "1e101", "--temperature", "1e-101"),
     ],
 )
 def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
     # finite input past what double precision carries: a window below the
     # solver's resolution, NaN columns (in fig1's third of four files), an
-    # overflowing width, or a support gap that turns NaN (from t = 0.9 at
-    # gamma = 5e307), which the bisection must not read as overlap
+    # overflowing width, or a rate whose width bracket argument cubes past
+    # the largest double before the bracket cap; named, not a raw warning
     res = run_cli(*argv, "--out", str(tmp_path))
     assert res.returncode == 1
     assert "numerical failure" in res.stderr
     assert "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
     assert res.stdout == ""
     assert not list(tmp_path.iterdir())
 

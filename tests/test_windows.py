@@ -1,6 +1,7 @@
 """Validity-window solver: the time up to which the two supports stay
 disjoint."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
@@ -131,6 +132,14 @@ def test_window_below_resolution_is_a_domain_error():
     # the solver must not report t_max = 0
     with pytest.raises(DomainError):
         overlap_window("cl", base_spec(0.0), make_bath(0.001, 1e308), base_constants())
+
+
+def test_non_finite_gap_is_a_domain_error():
+    # at gamma = 5e307 the bracket's closed branch overflows from t = 0.9 on
+    # and the support gap turns NaN, which the bisection must not read as
+    # overlap; the CLI rejects this rate before any solver runs
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+        overlap_window("cl", base_spec(0.0), make_bath(5e307, 1e-300), base_constants())
 
 
 @seed(20261019)
