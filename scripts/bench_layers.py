@@ -1,21 +1,20 @@
 """Before/after timings of two modvar checkouts, written to one JSON record.
 
     python scripts/bench_layers.py --parent DIR --change DIR --out BENCH_<n>.json
-        [--pairs 10] [--repeat 7] [--perfbench-pairs 0] [--seconds 25]
-        [--workloads figures,oracles,cli] [--first-seed 501]
+        [--perfbench-pairs 0] [--first-seed 501]
 
-Per layer: each of --pairs alternating pairs starts one probe process per
+Per layer: each of PAIRS alternating pairs starts one probe process per
 checkout, the parent first in even pairs and the change first in odd ones.
 A probe imports modvar from <checkout>/src, pins itself to one processor
-and times every layer below as the best of --repeat timeit runs, in
+and times every layer below as the best of REPEAT timeit runs, in
 microseconds per call.  The probed layers are the scalar-t density-matrix
 path that the oracles call point by point, the window solvers, and two
 array-t evaluators that the figures call.
 
 End to end (optional): --perfbench-pairs alternating pairs per workload of
-`python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`, run
-in each checkout with that checkout's own benchmark; both sides of a pair
-share the seed.  Each metric is compared with its bound in BENCHMARK.json.
+`python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0`, run
+in each checkout with that checkout's own benchmark; pair i of every
+workload uses seed --first-seed + i on both sides.  Each metric is compared with its bound in BENCHMARK.json.
 
 The record gives each side's median and quartiles, the change/parent ratio
 of the medians, and the number of pairs the change won.  Needs only the
@@ -37,6 +36,10 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+PAIRS = 10
+REPEAT = 7
+SECONDS = 25
+WORKLOADS = ("figures", "oracles", "cli")
 
 # runs once per probe, outside the timings
 _SETUP = """
@@ -70,8 +73,8 @@ LAYERS = {
 _TARGET_S = 0.05  # each timeit run lasts about this long
 
 
-def probe(repeat):
-    """Best-of-repeat microseconds per call of every layer, in this process."""
+def probe():
+    """Best-of-REPEAT microseconds per call of every layer, in this process."""
     try:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     except (AttributeError, OSError):
@@ -82,7 +85,7 @@ def probe(repeat):
     for name, stmt in LAYERS.items():
         timer = timeit.Timer(stmt, globals=namespace)
         number = max(1, int(_TARGET_S / max(timer.timeit(1), 1e-7)))
-        out[name] = min(timer.repeat(repeat, number)) / number * 1e6
+        out[name] = min(timer.repeat(REPEAT, number)) / number * 1e6
     return out
 
 
@@ -93,16 +96,15 @@ def _run(cmd, cwd, env=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _probe_in(checkout, repeat):
+def _probe_in(checkout):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return _run([sys.executable, str(Path(__file__).resolve()), "--probe", "--repeat", str(repeat)],
-                str(checkout), env)
+    return _run([sys.executable, str(Path(__file__).resolve()), "--probe"], str(checkout), env)
 
 
-def _perfbench_in(checkout, workload, seed, seconds):
+def _perfbench_in(checkout, workload, seed):
     result = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", "0"], str(checkout))
+                   "--seconds", str(SECONDS), "--trace", "0"], str(checkout))
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     metrics["failed_share"] = result["failed"] / max(result["attempted"], 1)
     return metrics
@@ -121,10 +123,8 @@ def _alternate(pairs, run_side):
 def summarize(parent, change, better="lower"):
     """Medians, quartiles, ratio and pair wins of two equal-length series."""
     def stats(values):
-        if len(values) < 2:
-            return {"median": values[0], "q1": values[0], "q3": values[0]}
-        q1, q2, q3 = statistics.quantiles(values, n=4)
-        return {"median": statistics.median(values), "q1": q1, "q3": q3}
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        return {"median": median, "q1": q1, "q3": q3}
 
     sign = 1.0 if better == "lower" else -1.0
     p, c = stats(parent), stats(change)
@@ -145,27 +145,23 @@ def main(argv=None):
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path)
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--repeat", type=int, default=7)
     ap.add_argument("--perfbench-pairs", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=25)
-    ap.add_argument("--workloads", default="figures,oracles,cli")
     ap.add_argument("--first-seed", type=int, default=501)
     args = ap.parse_args(argv)
     if args.probe:
-        print(json.dumps(probe(args.repeat)))
+        print(json.dumps(probe()))
         return 0
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    layer_runs = _alternate(args.pairs, lambda side, i: _probe_in(checkouts[side], args.repeat))
+    layer_runs = _alternate(PAIRS, lambda side, i: _probe_in(checkouts[side]))
     record = {
         "machine": {
             "nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(),
         },
-        "method": {"pairs": args.pairs, "repeat": args.repeat, "unit": "us per call, best of repeat"},
+        "method": {"pairs": PAIRS, "repeat": REPEAT, "unit": "us per call, best of repeat"},
         "per_layer": {
             name: summarize([r[name] for r in layer_runs["parent"]], [r[name] for r in layer_runs["change"]])
             for name in LAYERS
@@ -176,9 +172,9 @@ def main(argv=None):
         bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         bounds = {m["name"]: m for m in bench["end_to_end"]}
         end_to_end = {}
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             runs = _alternate(args.perfbench_pairs, lambda side, i: _perfbench_in(
-                checkouts[side], workload, args.first_seed + i, args.seconds))
+                checkouts[side], workload, args.first_seed + i))
             rows = {}
             for name in sorted(runs["parent"][0]):
                 meta = bounds.get(name, {"better": "lower", "bound": None, "unit": ""})
@@ -188,7 +184,7 @@ def main(argv=None):
                 rows[name] = row
             end_to_end[workload] = rows
         record["end_to_end"] = {
-            "seconds": args.seconds, "first_seed": args.first_seed,
+            "seconds": SECONDS, "first_seed": args.first_seed,
             "pairs": args.perfbench_pairs, "workloads": end_to_end,
         }
 

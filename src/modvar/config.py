@@ -13,7 +13,6 @@ from .params import (
     SuperpositionSpec,
     make_superposition,
 )
-from .windows import _BRACKET_CAP
 
 
 class ConfigError(ValueError):
@@ -86,13 +85,6 @@ class RunConfig:
                     raise OverflowError(
                         "D L^2 / hbar^2 overflows at gamma = %r, T = %r" % (self.gamma, T)
                     )
-            # the window solvers evaluate the width bracket up to u = 2 (2 gamma) t
-            # with t at the bracket cap, and its closed branch divides by u^3
-            u = 4.0 * self.gamma * _BRACKET_CAP
-            if not math.isfinite(u * u * u):
-                raise OverflowError(
-                    "(4 gamma t)^3 overflows for t <= %g at gamma = %r" % (_BRACKET_CAP, self.gamma)
-                )
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
         return self

@@ -73,6 +73,12 @@ def _solve_window(spec, gamma, D, c, s, criterion) -> OverlapWindow:
 
 
 def _cl_window(spec, gamma, D, c, s) -> OverlapWindow:
+    # the bracket may reach the cap, where the width bracket's closed branch
+    # divides by u^3 with u = 2 gamma t; a cube past the largest double would
+    # surface as a raw overflow warning before the gap turns NaN
+    u = 2.0 * gamma * _BRACKET_CAP
+    if not math.isfinite(u * u * u):
+        raise DomainError("(2 gamma t)^3 overflows at t = %g for gamma = %r" % (_BRACKET_CAP, gamma))
     crit = "-L - (hbar k/m) tau(t) + 2*%g*w_t = 0 (cl, gamma=%g, D=%g)" % (s, gamma, D)
     return _solve_window(spec, gamma, D, c, s, crit)
 

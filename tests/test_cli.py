@@ -39,6 +39,14 @@ def test_window_unitary():
     assert "criterion:" in res.stdout
 
 
+def test_unitary_window_ignores_the_rate():
+    # only the CL windows reject a rate whose width bracket overflows
+    res = run_cli("window", "--framework", "schrodinger", "--gamma", "1e101")
+    assert res.returncode == 0
+    assert "t_max = 10.002041" in res.stdout
+    assert res.stderr == ""
+
+
 def test_window_dissipative_flags():
     res = run_cli("window", "--framework", "cl", "--gamma", "0.001", "--temperature", "2")
     assert res.returncode == 0

@@ -18,7 +18,7 @@ from modvar.params import (
     validate_regime,
 )
 from modvar.schrodinger import DomainError, packet_state
-from modvar.windows import overlap_window, two_particle_window
+from modvar.windows import _solve_window, overlap_window, two_particle_window
 
 SF = 5.0
 
@@ -137,9 +137,21 @@ def test_window_below_resolution_is_a_domain_error():
 def test_non_finite_gap_is_a_domain_error():
     # at gamma = 5e307 the bracket's closed branch overflows from t = 0.9 on
     # and the support gap turns NaN, which the bisection must not read as
-    # overlap; the CLI rejects this rate before any solver runs
+    # overlap; the CL windows reject this rate before they bisect
+    b = make_bath(5e307, 1e-300)
     with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
-        overlap_window("cl", base_spec(0.0), make_bath(5e307, 1e-300), base_constants())
+        _solve_window(base_spec(0.0), b.gamma, b.D, base_constants(), SF, "cl")
+
+
+@pytest.mark.parametrize("window", [
+    lambda spec, b, c: overlap_window("cl", spec, b, c),
+    two_particle_window,
+])
+def test_rate_whose_bracket_cube_overflows_is_a_domain_error(window):
+    # (2 gamma t)^3 passes the largest double before the bracket cap t = 100
+    # for gamma above about 2.8e100: one named error, not a numpy warning
+    with pytest.raises(DomainError, match="overflows at t = 100"):
+        window(base_spec(0.0), make_bath(1e101, 1e-50), base_constants())
 
 
 @seed(20261019)
