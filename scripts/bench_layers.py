@@ -8,8 +8,9 @@ checkout, the parent first in even pairs and the change first in odd ones.
 A probe imports modvar from <checkout>/src, pins itself to one processor
 and times every layer below as the best of REPEAT timeit runs, in
 microseconds per call.  The probed layers are the scalar-t density-matrix
-path that the oracles call point by point, the window solvers, and two
-array-t evaluators that the figures call.
+path that the oracles call point by point, the window solvers, two array-t
+evaluators that the figures call, and the CSV writer on one fig1 density
+table (written to the null device, so no disk time is counted).
 
 End to end (optional): --perfbench-pairs alternating pairs per workload of
 `python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0`, run
@@ -43,7 +44,9 @@ WORKLOADS = ("figures", "oracles", "cli")
 
 # runs once per probe, outside the timings
 _SETUP = """
+import os
 import numpy as np
+from modvar import figures
 from modvar.caldeira_leggett import _center_width, _term_parts, cl_current, cl_density, cl_modular_closed
 from modvar.config import FIGURE_DEFAULTS
 from modvar.windows import overlap_window, two_particle_window
@@ -57,6 +60,10 @@ spec1, bath1, c1 = _case("fig1")
 x_grid = np.linspace(-40.0, 40.0, 401)
 t_grid = np.linspace(0.0, 2.0, 41)[:, None]
 t_closed = np.linspace(0.0, 2.0, 301)
+cfg1 = FIGURE_DEFAULTS["fig1"]
+t_density = np.linspace(cfg1.t_start, cfg1.tmax, 41)
+density_names = ["x"] + ["t=%.15g" % t for t in t_density]
+density_cols = [x_grid] + list(cl_density(spec1, bath1, c1, x_grid, t_density[:, None]))
 """
 # layer name -> the statement timed
 LAYERS = {
@@ -69,6 +76,9 @@ LAYERS = {
     "two_particle_window": "two_particle_window(spec, bath, c)",
     "cl_density.fig1_grid_41x401": "cl_density(spec1, bath1, c1, x_grid, t_grid)",
     "cl_modular_closed.301_t": "cl_modular_closed(spec, bath, c, t_closed)",
+    "figures._write_csv.fig1_density_cl": (
+        "figures._write_csv(os.devnull, cfg1, [], density_names, density_cols)"
+    ),
 }
 _TARGET_S = 0.05  # each timeit run lasts about this long
 

@@ -44,6 +44,10 @@ _BRACKET_COEFFS = [
 ]
 
 
+# Below the cube root of the largest double, 5.6e102, u**3 stays finite.
+_CUBE_SAFE = 5e102
+
+
 def _width_bracket_over_u3(u):
     """(3 + e^{-2u} - 4 e^{-u} - 2u) / u^3, stable for all u >= 0."""
     u = np.asarray(u, dtype=float)
@@ -61,7 +65,14 @@ def _width_bracket_over_u3(u):
     def closed(uc):
         return (3.0 + np.exp(-2.0 * uc) - 4.0 * np.exp(-uc) - 2.0 * uc) / uc**3
 
-    return float_if_scalar(_branchwise(u <= 0.5, series, closed, u))
+    def large(ul):
+        # e^{-u} is 0 here; dividing by u three times never forms u^3
+        return (3.0 / ul - 2.0) / ul / ul
+
+    def beyond_series(uc):
+        return _branchwise(uc <= _CUBE_SAFE, closed, large, uc)
+
+    return float_if_scalar(_branchwise(u <= 0.5, series, beyond_series, u))
 
 
 @dataclass(frozen=True)
@@ -336,11 +347,17 @@ def cl_modular_envelope_phase(spec, b, c, t):
     s0, L, k = spec.sigma0, spec.L, spec.k
     tau = scaled_time_tau(gamma, t)
     tau4 = scaled_time_tau(2.0 * gamma, t)
+    try:
+        drag = L**2 * gamma**2
+    except OverflowError:
+        drag = math.inf
+    if not math.isfinite(drag):
+        raise DomainError("L^2 gamma^2 overflows at gamma = %g" % gamma)
     # tau * tau, not tau**2: Python's float power and numpy's square round
     # differently, and a scalar t must give the bits of an array of t
     envelope = 0.5 * np.exp(
         -D * L**2 * tau4 / hbar**2
-        - L**2 * gamma**2 * (tau * tau) / (2.0 * s0**2)
+        - drag * (tau * tau) / (2.0 * s0**2)
         - 0.5 * k**2 * s0**2
     )
     phase = spec.alpha - L * tau * (k * gamma + m * g / hbar)

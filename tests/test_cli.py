@@ -161,6 +161,25 @@ def test_overflowing_diffusion_is_one_diagnostic_line(argv, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_huge_rate_width_bracket_gives_no_raw_warning(tmp_path):
+    # u = 2 gamma t past the cube root of the largest double: the width
+    # bracket takes its u^-2 form instead of cubing u
+    res = run_cli("figure", "fig1", "--gamma", "1e200", "--temperature", "1e-200",
+                  "--out", str(tmp_path))
+    assert res.returncode == 0
+    assert "RuntimeWarning" not in res.stderr
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_overflowing_envelope_drag_is_named(tmp_path):
+    res = run_cli("figure", "fig3", "--gamma", "1e200", "--temperature", "1e-200",
+                  "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert "numerical failure: L^2 gamma^2 overflows at gamma = 1e+200" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
 _EXTREMES = [0.0, -0.0, -1.0, 1e-300, -1e-300, 1e-200, 1e200, 1e300, -1e300, 1e308,
              math.nan, math.inf, -math.inf]
 _FLAGS = ("--gamma", "--temperature", "--kick", "--sigma0", "--support-factor")
@@ -248,6 +267,50 @@ def test_csv_writer_prints_each_cell_with_percent_15g(tmp_path):
         body = [line.rstrip("\n") for line in fh if not line.startswith("#")]
     assert body == [",".join("%.15g" % col[i] for col in cols) for i in range(len(values))]
     assert body[0] == "-0,3"
+
+
+def _hard_doubles():
+    """Doubles where %.15g's rounding, exponent or form is hardest to get
+    right, each with both signs."""
+    values = [0.0, 5e-324, 3 * 5e-324, 1e-310, 2.2250738585072014e-308,
+              np.nextafter(2.2250738585072014e-308, 0.0)]
+    # the ends of the range that the writer scales itself
+    for bound in (1e-280, 1e280):
+        values += [bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)]
+    for k in range(-30, 31):
+        power = float("1e%d" % k)
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf),
+                   float("9.999999999999995e%d" % k)]
+    # where %g switches between its fixed and exponent forms
+    for switch in (1e-5, 1e-4, 1e14, 1e15, 1e16):
+        below = above = switch
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+        values += [switch * 0.9999999999999995, switch * 0.99999999999999949]
+    # exact ties, which round half to even: 16-digit integers ending in 5,
+    # and 17-digit ones ending in 50
+    rng = np.random.default_rng(24)
+    values += list(rng.integers(10**14, 9 * 10**14, 2000) * 10.0 + 5.0)
+    values += list(rng.integers(10**14, 18 * 10**13, 2000) * 100.0 + 50.0)
+    values += [1.0, 10.0, 0.5, 0.1 + 0.2, 123456789012345.0, 1234567890123456.0]
+    return np.array(values + [-v for v in values])
+
+
+def test_csv_writer_matches_percent_15g_on_seeded_doubles(tmp_path):
+    # the whole-table formatter against "%.15g" % x, row for row: 204 000
+    # doubles of both signs from 1e-320 to 1e300, after the hard cases
+    hard = _hard_doubles()
+    rng = np.random.default_rng(2024)
+    n = 204_000 - hard.size
+    spread = 10.0 ** rng.uniform(-320.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+    table = np.concatenate([hard, spread]).reshape(-1, 4)
+    path = figures._write_csv(
+        str(tmp_path / "t.csv"), FIGURE_DEFAULTS["fig1"], [], list("abcd"), list(table.T)
+    )
+    with open(path, encoding="utf-8") as fh:
+        body = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    assert body == [",".join("%.15g" % v for v in row) for row in table.tolist()]
 
 
 def test_figure_header_round_trips_as_config(tmp_path):

@@ -135,12 +135,12 @@ def test_window_below_resolution_is_a_domain_error():
 
 
 def test_non_finite_gap_is_a_domain_error():
-    # at gamma = 5e307 the bracket's closed branch overflows from t = 0.9 on
-    # and the support gap turns NaN, which the bisection must not read as
-    # overlap; the CL windows reject this rate before they bisect
-    b = make_bath(5e307, 1e-300)
+    # at gamma = 1e308, 2 gamma overflows, the width bracket's argument
+    # u = 2 gamma t is inf * 0 = NaN at t = 0 and so is the support gap,
+    # which the bisection must not read as overlap; the CL windows reject
+    # this rate before they bisect
     with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
-        _solve_window(base_spec(0.0), b.gamma, b.D, base_constants(), SF, "cl")
+        _solve_window(base_spec(0.0), 1e308, 1.0, base_constants(), SF, "cl")
 
 
 @seed(20261019)
