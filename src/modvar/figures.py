@@ -68,7 +68,6 @@ _TIE = 1e-6  # the double-double rounding fraction is good to 1e-15
 _K0 = 300  # the tables cover decimal exponents -_K0.._K0
 _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 _GROUP_DIV = 10.0 ** np.arange(12, -1, -3)[:, None]
-_GROUP_DIV_INT = 10 ** np.arange(12, -1, -3, dtype=np.int64)[:, None]
 # hi, hi's two Veltkamp halves and lo of 10**k = hi + lo, column k + _K0,
 # each column computed from exact integers on first use
 _POW10 = np.zeros((4, 2 * _K0 + 1))
@@ -195,9 +194,10 @@ def _format_chunk(x, lead_words, digit_words, exponent_words):
     n[carry] = 1e14
     e += carry
     e += _K0
-    # the five 3-digit groups of n, and how many of the last groups are zero
+    # the five 3-digit groups of n, and how many of the last groups are zero;
+    # every quotient and product here is an exact integer below 2**53
     q = (n / _GROUP_DIV).astype(np.int64)
-    zero_after = (q * _GROUP_DIV_INT == n.astype(np.int64)).view(np.uint8)
+    zero_after = (q * _GROUP_DIV == n).view(np.uint8)
     code = point.take(e)
     for row in zero_after[:4]:
         code += row

@@ -168,6 +168,8 @@ def _branchwise(small, series, closed, *args):
     evaluated.  A 0-d mask always selects one branch whole, and that branch
     then gets args unchanged.
     """
+    if np.ndim(small) == 0:
+        return series(*args) if small else closed(*args)
     n_small = np.count_nonzero(small)
     if n_small == np.size(small):
         return series(*args)
