@@ -60,10 +60,9 @@ spec1, bath1, c1 = _case("fig1")
 x_grid = np.linspace(-40.0, 40.0, 401)
 t_grid = np.linspace(0.0, 2.0, 41)[:, None]
 t_closed = np.linspace(0.0, 2.0, 301)
-cfg1 = FIGURE_DEFAULTS["fig1"]
-t_density = np.linspace(cfg1.t_start, cfg1.tmax, 41)
-density_names = ["x"] + ["t=%.15g" % t for t in t_density]
-density_cols = [x_grid] + list(cl_density(spec1, bath1, c1, x_grid, t_density[:, None]))
+cfg1 = FIGURE_DEFAULTS["fig1"]  # t_grid spans its 0..2
+density_names = ["x"] + ["t=%.15g" % t for t in t_grid[:, 0]]
+density_cols = [x_grid] + list(cl_density(spec1, bath1, c1, x_grid, t_grid))
 """
 # layer name -> the statement timed
 LAYERS = {

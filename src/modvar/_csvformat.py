@@ -188,7 +188,7 @@ def format_table(columns) -> bytes:
     lead = np.ndarray((x.size,), np.uint64, cells, 0, (_CELL,))
     digits = np.ndarray((x.size, 5), np.uint32, cells, 6, (_CELL, 4))
     exponent = np.ndarray((x.size,), np.uint64, cells, 24, (_CELL,))
-    slow = [np.zeros(0, dtype=np.intp)]
+    slow = []
     for s in range(0, x.size, _CHUNK):
         part = slice(s, s + _CHUNK)
         slow.append(s + _format_chunk(x[part], lead[part], digits[part], exponent[part]))
