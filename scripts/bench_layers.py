@@ -12,6 +12,14 @@ path that the oracles call point by point, the window solvers, two array-t
 evaluators that the figures call, and the CSV writer on one fig1 density
 table (written to the null device, so no disk time is counted).
 
+Cold processes: in the same pairs, each side also starts one child per
+command in COLD, pinned to the same processor with thread counts of 1, and
+reads its CPU time (user + system) from RUSAGE_CHILDREN, in milliseconds.
+The commands are `import modvar.cli`, `window --framework cl`, `figure
+fig4` and the `figures` benchmark workload's start-up (`--setup-only`, seed
+--first-seed).  The modvar modules each command loads are listed once per
+side, from a run under `python -X importtime`.
+
 End to end (optional): --perfbench-pairs alternating pairs per workload of
 `python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0`, run
 in each checkout with that checkout's own benchmark; pair i of every
@@ -28,9 +36,11 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -81,13 +91,27 @@ LAYERS = {
 }
 _TARGET_S = 0.05  # each timeit run lasts about this long
 
+# cold-process layer name -> the child's arguments after the interpreter;
+# {out} is a scratch directory and {seed} is --first-seed
+COLD = {
+    "import_modvar_cli": ["-c", "import modvar.cli"],
+    "window_cl": ["-m", "modvar.cli", "window", "--framework", "cl"],
+    "figure_fig4": ["-m", "modvar.cli", "figure", "fig4", "--out", "{out}"],
+    "workload_figures_setup": ["perfbench/workload.py", "--workload", "figures", "--seed", "{seed}",
+                               "--seconds", "1", "--setup-only"],
+}
 
-def probe():
-    """Best-of-REPEAT microseconds per call of every layer, in this process."""
+
+def _pin():
     try:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     except (AttributeError, OSError):
         pass
+
+
+def probe():
+    """Best-of-REPEAT microseconds per call of every layer, in this process."""
+    _pin()
     namespace = {}
     exec(_SETUP, namespace)
     out = {}
@@ -105,10 +129,35 @@ def _run(cmd, cwd, env=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _env(checkout):
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0",
+                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def _probe_in(checkout):
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0",
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return _run([sys.executable, str(Path(__file__).resolve()), "--probe"], str(checkout), env)
+    return _run([sys.executable, str(Path(__file__).resolve()), "--probe"], str(checkout), _env(checkout))
+
+
+def _cold_in(checkout, cold_args, flags=()):
+    """(CPU ms, stderr) of one pinned child per cold-process layer."""
+    out = {}
+    for name, args in cold_args.items():
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run([sys.executable, *flags, *args], cwd=str(checkout), env=_env(checkout),
+                              capture_output=True, text=True, timeout=600, preexec_fn=_pin)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if proc.returncode != 0:
+            raise RuntimeError("%s in %s exited %d:\n%s" % (args, checkout, proc.returncode, proc.stderr))
+        cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        out[name] = (cpu_s * 1e3, proc.stderr)
+    return out
+
+
+def _modvar_modules(importtime_stderr):
+    """The modvar modules named in `python -X importtime` output."""
+    names = (line.rpartition("|")[2].strip() for line in importtime_stderr.splitlines()
+             if line.startswith("import time:"))
+    return sorted(name for name in names if name.split(".")[0] == "modvar")
 
 
 def _perfbench_in(checkout, workload, seed):
@@ -163,19 +212,37 @@ def main(argv=None):
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    scratch = tempfile.TemporaryDirectory()
+    cold_args = {name: [a.format(out=scratch.name, seed=args.first_seed) for a in argv]
+                 for name, argv in COLD.items()}
 
-    layer_runs = _alternate(PAIRS, lambda side, i: _probe_in(checkouts[side]))
+    def pair_side(side, i):
+        cold = _cold_in(checkouts[side], cold_args)
+        return dict(_probe_in(checkouts[side]), cold={name: ms for name, (ms, _) in cold.items()})
+
+    layer_runs = _alternate(PAIRS, pair_side)
+    modules = {side: {name: _modvar_modules(err) for name, (_, err) in
+                      _cold_in(checkouts[side], cold_args, ("-X", "importtime")).items()}
+               for side in SIDES}
     record = {
         "machine": {
             "nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "machine": platform.machine(),
         },
-        "method": {"pairs": PAIRS, "repeat": REPEAT, "unit": "us per call, best of repeat"},
+        "method": {"pairs": PAIRS, "repeat": REPEAT, "unit": "us per call, best of repeat",
+                   "cold_unit": "ms of CPU (user + system) of one child per side per pair"},
         "per_layer": {
             name: summarize([r[name] for r in layer_runs["parent"]], [r[name] for r in layer_runs["change"]])
             for name in LAYERS
         },
+        "cold_process": {
+            name: dict(summarize([r["cold"][name] for r in layer_runs["parent"]],
+                                 [r["cold"][name] for r in layer_runs["change"]]),
+                       argv=COLD[name], modvar_modules={side: modules[side][name] for side in SIDES})
+            for name in COLD
+        },
     }
+    scratch.cleanup()
 
     if args.perfbench_pairs:
         bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())

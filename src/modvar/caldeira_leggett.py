@@ -15,6 +15,7 @@ so the gamma -> 0 limit is exact.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -257,15 +258,20 @@ class QuadratureError(RuntimeError):
     """Raised when a quadrature's error estimate exceeds its tolerance."""
 
 
-# composite Gauss-Legendre orders of the coarse and fine passes; their
-# difference is the error estimate of every quadrature oracle
-_GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (18, 26)}
+# the coarse and fine passes use orders 18 and 26; their difference is the
+# error estimate of every quadrature oracle.  Each rule is built on the first
+# quadrature, not at import: loading numpy.polynomial and both rules costs
+# about 4 ms of CPU in a cold process (pinned, one BLAS thread, median of 12),
+# which window and figure never need.
+@functools.cache
+def _gl_rule(n):
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_nodes(breaks, scale, n):
     """Composite Gauss-Legendre nodes/weights over the sorted breakpoints,
     panels no wider than ~3 scale."""
-    nodes, wts = _GL_RULES[n]
+    nodes, wts = _gl_rule(n)
     xs, ws = [], []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         n_panels = max(1, int(math.ceil((hi - lo) / (3.0 * scale))))

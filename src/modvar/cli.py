@@ -12,10 +12,8 @@ from dataclasses import fields
 
 from .caldeira_leggett import QuadratureError
 from .config import ConfigError, RunConfig, file_key, load_config_file, resolve_config
-from .figures import cl_temperatures, generate_figure
 from .params import ParameterError, validate_regime
 from .schrodinger import DomainError
-from .verify import run_suite
 from .windows import overlap_window
 
 
@@ -103,12 +101,16 @@ def main(argv=None) -> int:
             print("criterion: %s" % win.criterion)
             return 0
         if args.command == "figure":
+            from .figures import cl_temperatures, generate_figure
+
             cfg = _resolved(args, figure=args.name)
             _warn_regime(cfg, cl_temperatures(args.name, cfg))
             for path in generate_figure(args.name, cfg):
                 print(path)
             return 0
         if args.command == "verify":
+            from .verify import run_suite
+
             return run_suite(args.suite)
         raise ConfigError("unknown command %r" % (args.command,))
     except (ConfigError, ParameterError) as exc:

@@ -3,6 +3,7 @@ property test, in process."""
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -223,15 +224,36 @@ def test_non_finite_width_is_named():
     assert "sigma0 must be finite" in res.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only inside the few functions that need it
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, modvar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        capture_output=True, text=True, timeout=300,
+_RUN = "from modvar import cli; cli.main(%r)"
+
+
+@pytest.mark.parametrize(
+    "code, unloaded",
+    [
+        # the package re-exports nothing, so it loads no submodule
+        ("import modvar", ["modvar."]),
+        # scipy is imported only inside the few functions that need it
+        ("import modvar.cli", ["scipy"]),
+        (_RUN % ["window", "--framework", "cl"],
+         ["modvar.figures", "modvar.two_particle", "modvar.oracles", "modvar.verify",
+          "modvar._csvformat", "scipy"]),
+        (_RUN % ["figure", "fig4", "--out", "OUT"], ["modvar.oracles", "modvar.verify", "scipy"]),
+    ],
+    ids=["package", "cli", "window", "figure"],
+)
+def test_each_command_loads_only_what_it_runs(code, unloaded, tmp_path):
+    # each case runs in a fresh interpreter, then reports sys.modules and
+    # the size of the Gauss-Legendre cache, which no quadrature has filled
+    report = (
+        "import json, sys; cl = sys.modules.get('modvar.caldeira_leggett'); "
+        "print(json.dumps([sorted(sys.modules), cl and cl._gl_rule.cache_info().currsize]))"
     )
+    script = code.replace("OUT", str(tmp_path)) + "\n" + report
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    modules, rules = json.loads(res.stdout.splitlines()[-1])
+    assert [m for m in modules if m.startswith(tuple(unloaded))] == []
+    assert rules == (None if code == "import modvar" else 0)
 
 
 def test_unknown_figure_name():
