@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,7 @@ from .params import (
     float_if_scalar,
     scaled_time_tau,
 )
-from .schrodinger import BohmianTrajectory, DomainError
-
-_UNDERFLOW = 1e-300
+from .schrodinger import _UNDERFLOW, BohmianTrajectory, DomainError, _warn_outside_support
 
 # Taylor coefficients of f(u) = 3 + e^{-2u} - 4 e^{-u} - 2u = sum c_n u^n,
 # c_n = ((-2)^n - 4 (-1)^n) / n!, nonzero from n = 3 on.  The bracket feeds
@@ -237,12 +234,8 @@ def cl_local_modular_on_trajectory(
 ) -> np.ndarray:
     """Local Hermitian modular value along the left packet's trajectory:
     Re{[rho(X+L, X) + rho(X-L, X)] / (2 rho(X, X))}, on grid.times()."""
-    pA = spec.packetA
-    if abs(X0 - pA.x0) > support_factor * pA.sigma0:
-        warnings.warn(
-            "X0 = %g lies outside the left packet's %g-sigma support" % (X0, support_factor)
-        )
-    traj = cl_bohmian_trajectory(pA, b, c, X0, grid)
+    _warn_outside_support(spec, X0, support_factor)
+    traj = cl_bohmian_trajectory(spec.packetA, b, c, X0, grid)
     ts, X, L = traj.t, traj.X, spec.L
     parts = _term_parts(spec, b, c, ts)
     den = _eval_parts(parts, 0.0, X)
@@ -375,11 +368,6 @@ def cl_modular_closed(spec, b, c, t):
     result as gamma -> 0.  Takes a scalar or an array of t."""
     envelope, phase = cl_modular_envelope_phase(spec, b, c, t)
     return float_if_scalar(envelope * np.cos(phase))
-
-
-def trace_check(spec, b, c, t: float) -> float:
-    """Trace of the density matrix by quadrature (the ell = 0 modular value)."""
-    return cl_modular_quadrature(spec, b, c, t, 0.0)
 
 
 def _blob_rectangles(parts):

@@ -67,8 +67,6 @@ class RunConfig:
             raise ConfigError("samples must be at least 2")
         if not (0.0 <= self.t_start < self.tmax):
             raise ConfigError("need 0 <= t_start < tmax")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be nonnegative")
         if any(T <= 0.0 for T in self.temperatures):
             raise ConfigError("temperatures must be positive")
         if not self.temperatures or not self.alphas:

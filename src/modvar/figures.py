@@ -47,10 +47,7 @@ _FIG1_TSAMPLES = 41
 
 
 def _check_columns(filename: str, colnames: list, columns: list) -> None:
-    rows = len(columns[0])
     for name, col in zip(colnames, columns):
-        if len(col) != rows:
-            raise ValueError("column %s has %d rows, not %d" % (name, len(col), rows))
         if not np.all(np.isfinite(col)):
             raise FloatingPointError("non-finite value in column %s of %s" % (name, filename))
 
@@ -63,7 +60,6 @@ def _write_csv(path: str, cfg: RunConfig, extra_header: list, colnames: list, co
     # loaded here, so that a command which writes no CSV does not load it
     from ._csvformat import format_table
 
-    # _check_columns has made every column the same length
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         fh.write(format_table(columns))

@@ -213,8 +213,8 @@ def heisenberg_rhs_check(
     L, hbar = spec.L, c.hbar
     source = CLSource(spec, b, c)
 
-    lhs, step, ratio = _time_derivative_sweep(lambda s: _chi(source, L, s)[0], t)
-    chi = _chi(source, L, t)[0]
+    lhs, step, ratio = _time_derivative_sweep(lambda s: characteristic_modular(source, s, L), t)
+    chi = characteristic_modular(source, t, L)
     mom = momentum_first_moment_translated(source, t, L)
     term1 = (-1j * c.m * c.g * L / hbar - b.D * L**2 / hbar**2) * chi
     term2 = -2.0 * b.gamma * 1j * (L / hbar) * mom

@@ -64,7 +64,8 @@ class BathParams:
             raise ParameterError("relaxation rate gamma must be >= 0")
         if self.T < 0:
             raise ParameterError("temperature must be >= 0")
-        D = diffusion_coefficient(self.constants, self.gamma, self.T)
+        c = self.constants
+        D = 2.0 * c.m * self.gamma * c.kB * self.T
         if not math.isfinite(D):
             raise OverflowError(
                 "D = 2 m gamma kB T overflows at gamma = %r, T = %r" % (self.gamma, self.T)
@@ -139,18 +140,9 @@ def make_superposition(
     """Build the standard two-packet spec: centers at -L/2 and +L/2, the right
     packet kicked with momentum hbar*k."""
     _require_finite(L=L, sigma0=sigma0, k=k, alpha=alpha)
-    if L <= 0 or sigma0 <= 0:
-        raise ParameterError("L and sigma0 must be positive")
     pA = GaussianPacket(x0=-L / 2, p0=0.0, sigma0=sigma0)
     pB = GaussianPacket(x0=+L / 2, p0=hbar * k, sigma0=sigma0)
     return SuperpositionSpec(packetA=pA, packetB=pB, L=L, k=k, alpha=alpha)
-
-
-def diffusion_coefficient(c: PhysicalConstants, gamma: float, T: float) -> float:
-    """D = 2 m gamma kB T."""
-    if gamma < 0 or T < 0:
-        raise ParameterError("gamma and T must be >= 0")
-    return 2.0 * c.m * gamma * c.kB * T
 
 
 def float_if_scalar(x):
@@ -209,8 +201,9 @@ def scaled_time_tau(gamma: float, t):
 
 
 def _tau_and_drift(gamma: float, t):
-    """scaled_time_tau(gamma, t) and friction_drift(gamma, t), the drift's
-    closed form taken from that one tau."""
+    """scaled_time_tau(gamma, t) and the friction drift (t - tau)/(2 gamma)
+    taken from that one tau; a series below the same switch keeps the
+    drift's gamma -> 0 limit t^2/2."""
     t = np.asarray(t, dtype=float)
     tau = scaled_time_tau(gamma, t)
     if gamma == 0.0:
@@ -225,16 +218,6 @@ def _tau_and_drift(gamma: float, t):
         return (tc - tau_c) / (2.0 * gamma)
 
     return tau, float_if_scalar(_branchwise(gamma * t < _TAU_SWITCH, series, closed, t, tau))
-
-
-def friction_drift(gamma: float, t):
-    """(t - tau(t)) / (2 gamma), the friction contribution to the center drift.
-
-    Has a finite gamma -> 0 limit of t^2/2, evaluated by series below the
-    same switch threshold as scaled_time_tau.  Takes a scalar or an array of
-    t and returns a float for scalar t.
-    """
-    return _tau_and_drift(gamma, t)[1]
 
 
 def validate_regime(c: PhysicalConstants, b: BathParams) -> list[str]:

@@ -174,6 +174,15 @@ def local_modular_pointwise(spec: SuperpositionSpec, c: PhysicalConstants, x, t:
     return float_if_scalar(np.real((up + dn) / (2.0 * psi)))
 
 
+def _warn_outside_support(spec: SuperpositionSpec, X0: float, support_factor: float) -> None:
+    """Warn when X0 lies outside the left packet's support_factor-sigma support."""
+    pA = spec.packetA
+    if abs(X0 - pA.x0) > support_factor * pA.sigma0:
+        warnings.warn(
+            "X0 = %g lies outside the left packet's %g-sigma support" % (X0, support_factor)
+        )
+
+
 def local_modular_on_trajectory(
     spec: SuperpositionSpec,
     c: PhysicalConstants,
@@ -188,11 +197,8 @@ def local_modular_on_trajectory(
     packet's effective support only warns: the closed form stays evaluable,
     it just loses its interpretation.
     """
+    _warn_outside_support(spec, X0, support_factor)
     pA = spec.packetA
-    if abs(X0 - pA.x0) > support_factor * pA.sigma0:
-        warnings.warn(
-            "X0 = %g lies outside the left packet's %g-sigma support" % (X0, support_factor)
-        )
     ts = grid.times()
     m, hbar, g = c.m, c.hbar, c.g
     s0 = spec.sigma0

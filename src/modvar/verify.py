@@ -31,7 +31,6 @@ from .caldeira_leggett import (
     cl_packet_state,
     density_matrix_rR,
     l1_coherence,
-    trace_check,
 )
 from .config import FIGURE_DEFAULTS
 from .figures import generate_figure
@@ -325,7 +324,7 @@ def gate_density_sanity():
     min_diag = math.inf
     for spec, bath, c in cases:
         for t in (0.0, 1.0, 2.0):
-            worst_trace = max(worst_trace, abs(trace_check(spec, bath, c, t) - 1.0))
+            worst_trace = max(worst_trace, abs(cl_modular_quadrature(spec, bath, c, t, 0.0) - 1.0))
             for n_x in (81, 161):
                 xs = np.linspace(-40.0, 40.0, n_x)
                 rho_p = density_matrix_rR(spec, bath, c, rs, xs[None, :], t)

@@ -23,18 +23,18 @@ from modvar.caldeira_leggett import (
     cl_local_modular_on_trajectory,
     cl_modular_closed,
     cl_modular_envelope_phase,
+    cl_modular_quadrature,
     cl_packet_state,
     density_matrix_rR,
     l1_coherence,
     local_translation,
-    trace_check,
 )
 from modvar.config import FIGURE_DEFAULTS
 from modvar.params import (
     BathParams,
     GaussianPacket,
     TimeGrid,
-    friction_drift,
+    _tau_and_drift,
     make_superposition,
     scaled_time_tau,
 )
@@ -114,7 +114,7 @@ def test_trace_stays_one():
     for gamma, T in ((0.001, 2.0), (0.005, 15.0), (0.1, 10.0)):
         b = make_bath(gamma, T)
         for t in (0.0, 1.0, 2.0):
-            assert trace_check(spec, b, c, t) == pytest.approx(1.0, abs=1e-8)
+            assert cl_modular_quadrature(spec, b, c, t, 0.0) == pytest.approx(1.0, abs=1e-8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +304,7 @@ def test_local_modular_trajectory_underflow_is_a_domain_error():
 
 _VECTORIZED = {
     "scaled_time_tau": scaled_time_tau,
-    "friction_drift": friction_drift,
+    "friction_drift": lambda gamma, t: _tau_and_drift(gamma, t)[1],
     "cl_modular_closed": lambda gamma, t: cl_modular_closed(
         base_spec(0.3), make_bath(gamma, 0.005), base_constants(), t
     ),
@@ -337,8 +337,8 @@ def test_series_branches_do_not_overflow(gamma):
     ts = np.concatenate(([0.0], np.logspace(-120.0, 2.0, 62)))
     u = 2.0 * gamma * ts
     assert (gamma * ts < 1e-4).any() and (u > 0.5).any()
-    for f in (scaled_time_tau, friction_drift):
-        assert np.isfinite(f(gamma, ts)).all(), f.__name__
+    tau, drift = _tau_and_drift(gamma, ts)
+    assert np.isfinite(tau).all() and np.isfinite(drift).all()
     bracket = _width_bracket_over_u3(u)
     assert np.isfinite(bracket).all()
     np.testing.assert_array_equal(bracket, [float(_width_bracket_over_u3(v)) for v in u])

@@ -1,5 +1,9 @@
-"""End-to-end command-line behavior, through subprocesses and, for the
-property test, in process."""
+"""End-to-end command-line behavior, in process through cli.main.
+
+The suite's warning filter turns a raw warning into an exception that main
+does not catch, so no case here can pass while printing one.  Child
+processes run only where the interpreter itself is under test: the modules
+each command loads, and one `python -m modvar.cli` call per exit code."""
 
 import contextlib
 import io
@@ -22,14 +26,26 @@ from modvar import cli, figures
 from modvar.config import FIGURE_DEFAULTS
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "modvar.cli", *argv],
         capture_output=True,
         text=True,
-        cwd=cwd,
         timeout=300,
     )
+
+
+@pytest.fixture
+def run_main(capsys):
+    """cli.main on argv, with its exit code and captured output in the
+    fields of a finished child process."""
+
+    def run(*argv):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(argv, code, out, err)
+
+    return run
 
 
 def test_window_unitary():
@@ -40,16 +56,16 @@ def test_window_unitary():
     assert "criterion:" in res.stdout
 
 
-def test_unitary_window_ignores_the_rate():
+def test_unitary_window_ignores_the_rate(run_main):
     # only the CL windows reject a rate whose width bracket overflows
-    res = run_cli("window", "--framework", "schrodinger", "--gamma", "1e101")
+    res = run_main("window", "--framework", "schrodinger", "--gamma", "1e101")
     assert res.returncode == 0
     assert "t_max = 10.002041" in res.stdout
     assert res.stderr == ""
 
 
-def test_window_dissipative_flags():
-    res = run_cli("window", "--framework", "cl", "--gamma", "0.001", "--temperature", "2")
+def test_window_dissipative_flags(run_main):
+    res = run_main("window", "--framework", "cl", "--gamma", "0.001", "--temperature", "2")
     assert res.returncode == 0
     assert float(re.search(r"t_max = ([0-9.]+)", res.stdout).group(1)) == pytest.approx(
         9.605996, abs=1e-5
@@ -59,17 +75,17 @@ def test_window_dissipative_flags():
 @pytest.mark.parametrize(
     "argv", [("window", "--framework", "cl"), ("figure", "fig3"), ("figure", "fig2")]
 )
-def test_regime_warning_on_stderr(argv, tmp_path):
+def test_regime_warning_on_stderr(argv, tmp_path, run_main):
     # kB*T = 2 is below 10 hbar*gamma = 5: the CL bath's warning goes to
     # stderr and the run still succeeds; the default gamma warns of nothing
-    res = run_cli(*argv, "--gamma", "0.5", "--temperature", "2", "--out", str(tmp_path))
+    res = run_main(*argv, "--gamma", "0.5", "--temperature", "2", "--out", str(tmp_path))
     assert res.returncode == 0
     assert res.stdout.startswith("t_max = " if argv[0] == "window" else str(tmp_path))
     assert res.stderr.splitlines() == [
         "warning: kB*T = 2 is not large against hbar*gamma = 0.5 (need a factor >= 10); "
         "dissipative results may be outside the model's validity range"
     ]
-    quiet = run_cli(*argv, "--temperature", "2", "--out", str(tmp_path))
+    quiet = run_main(*argv, "--temperature", "2", "--out", str(tmp_path))
     assert quiet.returncode == 0 and quiet.stderr == ""
 
 
@@ -80,14 +96,14 @@ def test_window_needs_single_framework():
     assert "configuration error" in res.stderr
 
 
-def test_missing_config_file():
-    res = run_cli("window", "--framework", "schrodinger", "--config", "no_such_file.cfg")
+def test_missing_config_file(run_main):
+    res = run_main("window", "--framework", "schrodinger", "--config", "no_such_file.cfg")
     assert res.returncode == 2
     assert "configuration error" in res.stderr
 
 
-def test_bad_flag_value():
-    res = run_cli("window", "--framework", "cl", "--gamma", "-0.5")
+def test_bad_flag_value(run_main):
+    res = run_main("window", "--framework", "cl", "--gamma", "-0.5")
     assert res.returncode == 2
 
 
@@ -104,9 +120,9 @@ def test_bad_flag_value():
         ("window", "--framework", "schrodinger", "--support-factor", "inf"),
     ],
 )
-def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):
+def test_non_finite_flag_is_a_configuration_error(argv, tmp_path, run_main):
     # a NaN or infinite parameter must not yield t_max = 0 or NaN columns
-    res = run_cli(*argv, "--out", str(tmp_path))
+    res = run_main(*argv, "--out", str(tmp_path))
     assert res.returncode == 2
     assert "configuration error" in res.stderr
     assert res.stdout == ""
@@ -126,12 +142,12 @@ def test_non_finite_flag_is_a_configuration_error(argv, tmp_path):
         ("figure", "fig4", "--gamma", "1e101", "--temperature", "1e-101"),
     ],
 )
-def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
+def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path, run_main):
     # finite input past what double precision carries: a window below the
     # solver's resolution, NaN columns (in fig1's third of four files), an
     # overflowing width, or a rate whose width bracket argument cubes past
     # the largest double before the bracket cap; named, not a raw warning
-    res = run_cli(*argv, "--out", str(tmp_path))
+    res = run_main(*argv, "--out", str(tmp_path))
     assert res.returncode == 1
     assert "numerical failure" in res.stderr
     assert "Traceback" not in res.stderr
@@ -149,11 +165,11 @@ def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path):
         ("figure", "fig3", "--temperature", "1e308"),
     ],
 )
-def test_overflowing_diffusion_is_one_diagnostic_line(argv, tmp_path):
+def test_overflowing_diffusion_is_one_diagnostic_line(argv, tmp_path, run_main):
     # D = 2 m gamma kB T overflows at the default temperatures, or D is finite
     # and D L^2 / hbar^2 overflows: one named failure, raised before any numpy
     # arithmetic can warn
-    res = run_cli(*argv, "--out", str(tmp_path))
+    res = run_main(*argv, "--out", str(tmp_path))
     assert res.returncode == 1
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("numerical failure: D")
@@ -162,10 +178,10 @@ def test_overflowing_diffusion_is_one_diagnostic_line(argv, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_huge_rate_width_bracket_gives_no_raw_warning(tmp_path):
+def test_huge_rate_width_bracket_gives_no_raw_warning(tmp_path, run_main):
     # u = 2 gamma t past the cube root of the largest double: the width
     # bracket takes its u^-2 form instead of cubing u
-    res = run_cli("figure", "fig1", "--gamma", "1e200", "--temperature", "1e-200",
+    res = run_main("figure", "fig1", "--gamma", "1e200", "--temperature", "1e-200",
                   "--out", str(tmp_path))
     assert res.returncode == 0
     assert "RuntimeWarning" not in res.stderr
@@ -217,8 +233,8 @@ def test_cli_exits_cleanly_or_gives_finite_output(command, values):
             assert written and all(_all_finite_rows(path) for path in written)
 
 
-def test_non_finite_width_is_named():
-    res = run_cli("window", "--framework", "schrodinger", "--sigma0", "nan")
+def test_non_finite_width_is_named(run_main):
+    res = run_main("window", "--framework", "schrodinger", "--sigma0", "nan")
     assert res.returncode == 2
     # named as a non-finite width, not as a width mismatch between packets
     assert "sigma0 must be finite" in res.stderr
@@ -257,16 +273,17 @@ def test_each_command_loads_only_what_it_runs(code, unloaded, tmp_path):
 
 
 def test_unknown_figure_name():
-    res = run_cli("figure", "fig9")
     # argparse rejects the choice before main() runs
-    assert res.returncode == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "fig9"])
+    assert exc.value.code == 2
 
 
-def test_figure_deterministic_bytes(tmp_path):
+def test_figure_deterministic_bytes(tmp_path, run_main):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    r1 = run_cli("figure", "fig2", "--out", str(out1))
-    r2 = run_cli("figure", "fig2", "--out", str(out2))
+    r1 = run_main("figure", "fig2", "--out", str(out1))
+    r2 = run_main("figure", "fig2", "--out", str(out2))
     assert r1.returncode == 0 and r2.returncode == 0
     names = sorted(os.path.basename(p) for p in r1.stdout.split())
     assert names == sorted(os.path.basename(p) for p in r2.stdout.split())
@@ -335,11 +352,11 @@ def test_csv_writer_matches_percent_15g_on_seeded_doubles(tmp_path):
     assert body == [",".join("%.15g" % v for v in row) for row in table.tolist()]
 
 
-def test_figure_header_round_trips_as_config(tmp_path):
+def test_figure_header_round_trips_as_config(tmp_path, run_main):
     # the '#' header of an emitted CSV, taken verbatim, reloads as a config
     # file that reproduces the same bytes; non-assignment lines are comments
     out1 = tmp_path / "first"
-    r1 = run_cli("figure", "fig2", "--out", str(out1), "--alpha", "0.9")
+    r1 = run_main("figure", "fig2", "--out", str(out1), "--alpha", "0.9")
     assert r1.returncode == 0
     path1 = [p for p in r1.stdout.split() if p.endswith(".csv")][0]
     header = []
@@ -351,28 +368,20 @@ def test_figure_header_round_trips_as_config(tmp_path):
     cfg_path = tmp_path / "replay.cfg"
     cfg_path.write_text("\n".join(header) + "\n", encoding="utf-8")
     out2 = tmp_path / "second"
-    r2 = run_cli("figure", "fig2", "--config", str(cfg_path), "--out", str(out2))
+    r2 = run_main("figure", "fig2", "--config", str(cfg_path), "--out", str(out2))
     assert r2.returncode == 0
     path2 = [p for p in r2.stdout.split() if p.endswith(".csv")][0]
     assert Path(path1).read_bytes() == Path(path2).read_bytes()
 
 
-def test_flag_overrides_config_file(tmp_path):
+def test_flag_overrides_config_file(tmp_path, run_main):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha=0.0\nkick=0.2\n", encoding="utf-8")
     out = tmp_path / "out"
-    res = run_cli("figure", "fig2", "--config", str(cfg), "--kick", "0.1", "--out", str(out))
+    res = run_main("figure", "fig2", "--config", str(cfg), "--kick", "0.1", "--out", str(out))
     assert res.returncode == 0
     path = [p for p in res.stdout.split() if p.endswith(".csv")][0]
     text = Path(path).read_text(encoding="utf-8")
     assert "# kick=0.1" in text
     assert "# alpha=0" in text
 
-
-def test_verify_exit_code_matches_tally():
-    res = run_cli("verify", "--suite", "fast")
-    match = re.search(r"(\d+)/(\d+) gates passed", res.stderr)
-    assert match, res.stderr
-    passed, total = int(match.group(1)), int(match.group(2))
-    assert res.returncode == (0 if passed == total else 1)
-    assert len(re.findall(r"\[(?:PASS|FAIL)\]", res.stderr)) == total

@@ -13,8 +13,7 @@ from modvar.params import (
     PhysicalConstants,
     SuperpositionSpec,
     TimeGrid,
-    diffusion_coefficient,
-    friction_drift,
+    _tau_and_drift,
     make_superposition,
     scaled_time_tau,
     validate_regime,
@@ -61,7 +60,7 @@ def test_bath_diffusion_coefficient():
     with pytest.raises(ParameterError):
         BathParams(gamma=-0.1, T=1.0)
     with pytest.raises(ParameterError):
-        diffusion_coefficient(c, 0.1, -1.0)
+        BathParams(gamma=0.1, T=-1.0)
 
 
 def test_superposition_construction():
@@ -105,9 +104,9 @@ def test_tau_limits_and_switch():
 
 
 def test_friction_drift_limit():
-    assert friction_drift(0.0, 3.0) == pytest.approx(4.5, rel=1e-15)
+    assert _tau_and_drift(0.0, 3.0)[1] == pytest.approx(4.5, rel=1e-15)
     # small-gamma value stays next to t^2/2
-    assert friction_drift(1e-9, 3.0) == pytest.approx(4.5, rel=1e-7)
+    assert _tau_and_drift(1e-9, 3.0)[1] == pytest.approx(4.5, rel=1e-7)
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,3 +27,14 @@ def test_failing_and_over_budget_gates_exit_1(monkeypatch, capsys):
     fails = [line for line in lines if line.startswith("[FAIL]")]
     assert [line.split()[1:3] for line in fails] == [["failing", "stub"], ["slow", "stub"]]
     assert "(gate: always; under 0 s)" in fails[1]
+
+
+def test_all_passing_gates_exit_0(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CRITERIA", [])
+    for cid in ("s01", "s02", "s03"):
+        verify.criterion(cid, "passing stub", "always")(lambda: ({"x": 1.0}, True))
+    monkeypatch.setattr(verify, "SUITES", {"fast": verify.CRITERIA, "full": verify.CRITERIA})
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["[PASS]"] * 3
+    assert lines[-1] == "3/3 gates passed (fast suite)"
