@@ -9,8 +9,9 @@ A probe imports modvar from <checkout>/src, pins itself to one processor
 and times every layer below as the best of REPEAT timeit runs, in
 microseconds per call.  The probed layers are the scalar-t density-matrix
 path that the oracles call point by point, the window solvers, two array-t
-evaluators that the figures call, and the CSV writer on one fig1 density
-table (written to the null device, so no disk time is counted).
+evaluators that the figures call, the CSV writer on one fig1 density
+table (written to the null device, so no disk time is counted) and the two
+ODE oracles: the moment-ODE window and a 51-sample CL trajectory.
 
 Cold processes: in the same pairs, each side also starts CHILDREN children
 per command in COLD, one after another, each pinned to the same processor
@@ -18,9 +19,9 @@ with thread counts of 1, and reads the least CPU time (user + system) of
 them from RUSAGE_CHILDREN, in milliseconds: one child slowed by load on a
 shared machine then no longer moves its pair.
 The commands are `import modvar.cli`, `window --framework cl`, `figure
-fig4` and the `figures` benchmark workload's start-up (`--setup-only`, seed
---first-seed).  The modvar modules each command loads are listed once per
-side, from a run under `python -X importtime`.
+fig4` and the `figures` and `oracles` benchmark workloads' start-up
+(`--setup-only`, seed --first-seed).  The modvar modules each command loads
+are listed once per side, from a run under `python -X importtime`.
 
 End to end (optional): --perfbench-pairs alternating pairs per workload of
 `python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0`, run
@@ -62,6 +63,8 @@ import numpy as np
 from modvar import figures
 from modvar.caldeira_leggett import _center_width, _term_parts, cl_current, cl_density, cl_modular_closed
 from modvar.config import FIGURE_DEFAULTS
+from modvar.oracles import moment_ode_window, trajectory_ode_oracle
+from modvar.params import TimeGrid
 from modvar.windows import overlap_window, two_particle_window
 
 def _case(name):
@@ -76,6 +79,10 @@ t_closed = np.linspace(0.0, 2.0, 301)
 cfg1 = FIGURE_DEFAULTS["fig1"]  # t_grid spans its 0..2
 density_names = ["x"] + ["t=%.15g" % t for t in t_grid[:, 0]]
 density_cols = [x_grid] + list(cl_density(spec1, bath1, c1, x_grid, t_grid))
+traj_grid = TimeGrid(0.0, 2.0, 51)
+
+def cl_velocity(x, t):
+    return cl_current(spec, bath, c, x, t) / cl_density(spec, bath, c, x, t)
 """
 # layer name -> the statement timed
 LAYERS = {
@@ -91,6 +98,8 @@ LAYERS = {
     "figures._write_csv.fig1_density_cl": (
         "figures._write_csv(os.devnull, cfg1, [], density_names, density_cols)"
     ),
+    "moment_ode_window.cl": "moment_ode_window(spec, bath, c)",
+    "trajectory_ode_oracle.cl_51": "trajectory_ode_oracle(cl_velocity, spec.packetA.x0, traj_grid)",
 }
 _TARGET_S = 0.05  # each timeit run lasts about this long
 
@@ -101,6 +110,8 @@ COLD = {
     "window_cl": ["-m", "modvar.cli", "window", "--framework", "cl"],
     "figure_fig4": ["-m", "modvar.cli", "figure", "fig4", "--out", "{out}"],
     "workload_figures_setup": ["perfbench/workload.py", "--workload", "figures", "--seed", "{seed}",
+                               "--seconds", "1", "--setup-only"],
+    "workload_oracles_setup": ["perfbench/workload.py", "--workload", "oracles", "--seed", "{seed}",
                                "--seconds", "1", "--setup-only"],
 }
 

@@ -97,8 +97,13 @@ def _center_width(p: GaussianPacket, gamma: float, D: float, c: PhysicalConstant
     x_t = p.x0 + p.p0 * tau / m - g * drift
     # diffusive broadening: -(bracket) D/(8 m^2 gamma^3) = -D t^3 h(u)/m^2, u = 2 gamma t
     u = 2.0 * gamma * ts
-    w_sq = s0**2 * (1.0 + (hbar * tau) ** 2 / (4.0 * m**2 * s0**4)) \
-        - D * ts**3 * _width_bracket_over_u3(u) / m**2
+    try:
+        w_sq = s0**2 * (1.0 + (hbar * tau) ** 2 / (4.0 * m**2 * s0**4)) \
+            - D * ts**3 * _width_bracket_over_u3(u) / m**2
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            "sigma0 = %g: its square or fourth power leaves the double range" % s0
+        ) from None
     w_t = np.sqrt(w_sq)
     return x_t, w_t, tau, drift
 

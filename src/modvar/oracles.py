@@ -3,7 +3,8 @@ composite Gauss-Legendre quadrature of the characteristic function,
 translated momentum moments and the two-particle translation expectation,
 the expectation-value evolution check, PDE residuals, ODE trajectory
 integration, the moment-ODE non-overlap window, and a spectral grid
-propagator.
+propagator.  The two ODE oracles run on the package's DOP853
+(`modvar._dop853`), loaded on their first call; nothing here imports scipy.
 
 These routines never reuse the closed-form answers they test; they
 integrate, differentiate, or propagate from more primitive definitions.
@@ -339,22 +340,17 @@ def pde_residual(
 def trajectory_ode_oracle(
     velocity_field: Callable[[float, float], float], X0: float, grid: TimeGrid
 ) -> BohmianTrajectory:
-    """Integrate dX/dt = v(X, t) with tight adaptive error control."""
-    from scipy import integrate
+    """Integrate dX/dt = v(X, t) by the package's DOP853 (rtol 1e-10,
+    atol 1e-12), sampled on the grid through its dense output."""
+    from ._dop853 import dop853
 
     ts = grid.times()
-    sol = integrate.solve_ivp(
-        lambda t, y: [velocity_field(y[0], t)],
-        (ts[0], ts[-1]),
-        [X0],
-        method="DOP853",
-        t_eval=ts,
-        rtol=1e-10,
-        atol=1e-12,
+    X, _, failure = dop853(
+        lambda t, y: [velocity_field(y[0], t)], ts[0], [X0], ts[-1], 1e-10, 1e-12, t_eval=ts
     )
-    if not sol.success:
-        raise RuntimeError("trajectory integration failed: %s" % sol.message)
-    return BohmianTrajectory(X0=X0, samples=np.column_stack([sol.t, sol.y[0]]))
+    if failure:
+        raise RuntimeError("trajectory integration failed: %s" % failure)
+    return BohmianTrajectory(X0=X0, samples=np.column_stack([ts, X[:, 0]]))
 
 
 _WINDOW_CAP = 100.0
@@ -377,9 +373,11 @@ def moment_ode_window(
     first root of the gap (x_A + s sqrt(Sxx_A)) - (x_B - s sqrt(Sxx_B)).
     b = None is the unitary limit (gamma = D = 0).  The two-particle
     (common-bath) window is the single-packet window at rate 2 gamma with D
-    unchanged: a bath BathParams(2 gamma, T/2) carries the same D.
+    unchanged: a bath BathParams(2 gamma, T/2) carries the same D.  The
+    equations run on the package's DOP853 (rtol = atol = 1e-12), and the root
+    is located on its dense output by Brent's method.
     """
-    from scipy import integrate
+    from ._dop853 import dop853
 
     m, hbar, g = c.m, c.hbar, c.g
     gamma = 0.0 if b is None else b.gamma
@@ -402,22 +400,17 @@ def moment_ode_window(
     def gap(_t, y):
         return (y[0] + s * math.sqrt(y[2])) - (y[5] - s * math.sqrt(y[7]))
 
-    gap.terminal = True
-    gap.direction = 1.0
-
     y0 = []
     for p in (spec.packetA, spec.packetB):
         y0 += [p.x0, p.p0, p.sigma0**2, 0.0, hbar**2 / (4.0 * p.sigma0**2)]
     if gap(0.0, y0) >= 0.0:
         raise DomainError("packets already overlap at t = 0 for this support factor")
-    sol = integrate.solve_ivp(
-        rhs, (0.0, _WINDOW_CAP), y0, method="DOP853", events=gap, rtol=1e-12, atol=1e-12
-    )
-    if not sol.success:
-        raise RuntimeError("moment integration failed: %s" % sol.message)
-    if sol.t_events[0].size == 0:
+    _, t_close, failure = dop853(rhs, 0.0, y0, _WINDOW_CAP, 1e-12, 1e-12, event=gap)
+    if failure:
+        raise RuntimeError("moment integration failed: %s" % failure)
+    if t_close is None:
         raise DomainError("supports stay disjoint up to t = %g" % _WINDOW_CAP)
-    return float(sol.t_events[0][0])
+    return float(t_close)
 
 
 @dataclass(frozen=True)

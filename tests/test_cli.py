@@ -150,6 +150,9 @@ def test_extreme_finite_flag_is_a_numerical_failure(argv, tmp_path, run_main):
     res = run_main(*argv, "--out", str(tmp_path))
     assert res.returncode == 1
     assert "numerical failure" in res.stderr
+    if "--sigma0" in argv:
+        # sigma0^2 overflows at 1e200 and sigma0^4 is 0 at 1e-200
+        assert "sigma0" in res.stderr
     assert "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert res.stdout == ""
@@ -254,8 +257,14 @@ _RUN = "from modvar import cli; cli.main(%r)"
          ["modvar.figures", "modvar.two_particle", "modvar.oracles", "modvar.verify",
           "modvar._csvformat", "scipy"]),
         (_RUN % ["figure", "fig4", "--out", "OUT"], ["modvar.oracles", "modvar.verify", "scipy"]),
+        # both ODE oracles run on the package's DOP853
+        ("from modvar import oracles, params; c = params.PhysicalConstants(); "
+         "spec = params.make_superposition(50.0, 1.0, 0.1, 0.0); "
+         "oracles.moment_ode_window(spec, params.BathParams(0.01, 15.0), c); "
+         "oracles.trajectory_ode_oracle(lambda x, t: -x, 1.0, params.TimeGrid(0.0, 2.0, 5))",
+         ["scipy"]),
     ],
-    ids=["package", "cli", "window", "figure"],
+    ids=["package", "cli", "window", "figure", "ode-oracles"],
 )
 def test_each_command_loads_only_what_it_runs(code, unloaded, tmp_path):
     # each case runs in a fresh interpreter, then reports sys.modules and
